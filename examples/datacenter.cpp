@@ -1,78 +1,115 @@
 // Multi-rack datacenter driver: builds N racks joined by an optical spine,
 // places one tenant class per rack, points a share of every rack's
 // read/write stream at peer racks' gateway windows, and runs the coupled
-// simulation twice — once on the sequential reference schedule, once in
-// conservative-lookahead parallel rounds — proving the two schedules
-// byte-identical by digest and reporting the wall-clock speedup.
+// simulation once on the cluster's earliest-tick scheduler. Prints the
+// run summary and its digest; stdout is byte-identical across same-seed
+// runs.
 //
-//   $ ./datacenter                              # 2 racks, 2 threads
-//   $ ./datacenter --racks 16 --threads 4 --cross-share 0.15
+//   $ ./datacenter                              # 2 racks
+//   $ ./datacenter --racks 16 --cross-share 0.15
 //   $ ./datacenter --fault-rack 0 --fault-at-ms 1 --fault-for-ms 2
-//   $ ./datacenter --racks 4 --out parallel.json
 //
-// The JSON report follows the "dredbox-parallel/v1" schema consumed by
-// scripts/bench_reduce.py.
+// Exit status: 0 on success, 1 when the run breaks conservation
+// (offered != completed + failed), 2 on a usage or config error.
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "core/scenario.hpp"
-#include "sim/format.hpp"
 #include "workload/cluster.hpp"
 
 using namespace dredbox;
 
 namespace {
 
-void usage() {
-  std::printf(
+/// Upper bound on every count flag; the config's own validation (spine
+/// radix and so on) applies tighter limits.
+constexpr std::uint64_t kMaxCount = 4096;
+/// Upper bound on every time flag: 1000 s of simulated time.
+constexpr double kMaxMs = 1e6;
+
+void usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "usage: datacenter [options]\n"
       "  --racks N        racks on the spine (default 2)\n"
-      "  --threads N      workers for the parallel pass (default 2)\n"
       "  --seed N         deployment seed (default 1)\n"
       "  --duration-ms X  generation window (default 2)\n"
       "  --cross-share X  fraction of reads/writes crossing the spine (default 0.10)\n"
       "  --vms N          VMs per rack (default 1)\n"
       "  --fault-rack N   rack whose spine uplink fails (default: no fault)\n"
       "  --fault-at-ms X  fault onset (default 1)\n"
-      "  --fault-for-ms X fault duration (default 1)\n"
-      "  --out FILE       write the dredbox-parallel/v1 JSON report to FILE\n");
+      "  --fault-for-ms X fault duration (default 1)\n");
 }
 
-core::ScenarioBuilder make_builder(std::size_t racks, std::uint64_t seed, double cross_share,
-                                   std::size_t threads, long fault_rack, double fault_at_ms,
-                                   double fault_for_ms) {
+/// Parses all of `text` as an unsigned integer in [lo, hi]. Rejects a
+/// sign (strtoull would wrap "-1"), trailing characters and overflow.
+bool parse_count(const char* text, std::uint64_t lo, std::uint64_t hi, std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value < lo || value > hi) return false;
+  out = value;
+  return true;
+}
+
+/// Parses all of `text` as a number in [lo, hi] (NaN fails the range).
+bool parse_real(const char* text, double lo, double hi, double& out) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !(value >= lo && value <= hi)) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+struct Options {
+  std::uint64_t racks = 2;
+  std::uint64_t seed = 1;
+  double duration_ms = 2.0;
+  double cross_share = 0.10;
+  std::uint64_t vms = 1;
+  std::optional<std::uint64_t> fault_rack;
+  double fault_at_ms = 1.0;
+  double fault_for_ms = 1.0;
+};
+
+core::ScenarioBuilder make_builder(const Options& o) {
   core::RackSpec rack;
   rack.trays = 1;
   rack.compute_bricks_per_tray = 2;
   rack.memory_bricks_per_tray = 2;
   core::ScenarioBuilder builder;
-  builder.add_racks(racks, rack)
-      .cross_rack_share(cross_share)
-      .partitions(threads)
-      .seed(seed)
+  builder.add_racks(o.racks, rack)
+      .cross_rack_share(o.cross_share)
+      .seed(o.seed)
       .compute_local_memory_bytes(8ull << 30)
       .memory_pool_bytes(32ull << 30);
-  if (fault_rack >= 0) {
-    builder.spine_fault(static_cast<std::size_t>(fault_rack), sim::Time::ms(fault_at_ms),
-                        sim::Time::ms(fault_for_ms));
+  if (o.fault_rack) {
+    builder.spine_fault(*o.fault_rack, sim::Time::ms(o.fault_at_ms),
+                        sim::Time::ms(o.fault_for_ms));
   }
   return builder;
 }
 
-workload::WorkloadConfig make_workload(std::size_t racks, std::size_t vms, double duration_ms) {
+workload::WorkloadConfig make_workload(const Options& o) {
   workload::WorkloadConfig config;
-  config.duration = sim::Time::ms(duration_ms);
+  config.duration = sim::Time::ms(o.duration_ms);
   config.drain_grace = sim::Time::ms(1);
-  for (std::size_t r = 0; r < racks; ++r) {
+  for (std::size_t r = 0; r < o.racks; ++r) {
     workload::TenantSpec tenant;
     tenant.name = "rack" + std::to_string(r);
     tenant.home_rack = r;
-    tenant.vms = vms;
+    tenant.vms = o.vms;
     tenant.local_bytes = 512ull << 20;
     tenant.remote_bytes = 1ull << 30;
     tenant.loop = workload::LoopMode::kClosed;
@@ -84,122 +121,89 @@ workload::WorkloadConfig make_workload(std::size_t racks, std::size_t vms, doubl
   return config;
 }
 
+/// Fills `o` from argv. Returns the exit status to stop with (0 after
+/// --help, 2 on a bad flag), or nullopt to go on and run.
+std::optional<int> parse_args(int argc, char** argv, Options& o) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      usage(stdout);
+      return 0;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "datacenter: %s needs a value\n", arg.c_str());
+      usage(stderr);
+      return 2;
+    }
+    const char* value = argv[++i];
+    std::uint64_t fault_rack = 0;
+    bool ok = false;
+    if (arg == "--racks") {
+      ok = parse_count(value, 1, kMaxCount, o.racks);
+    } else if (arg == "--seed") {
+      ok = parse_count(value, 0, UINT64_MAX, o.seed);
+    } else if (arg == "--duration-ms") {
+      ok = parse_real(value, 0.0, kMaxMs, o.duration_ms);
+    } else if (arg == "--cross-share") {
+      ok = parse_real(value, 0.0, 1.0, o.cross_share);
+    } else if (arg == "--vms") {
+      ok = parse_count(value, 1, kMaxCount, o.vms);
+    } else if (arg == "--fault-rack") {
+      ok = parse_count(value, 0, kMaxCount, fault_rack);
+      if (ok) o.fault_rack = fault_rack;
+    } else if (arg == "--fault-at-ms") {
+      ok = parse_real(value, 0.0, kMaxMs, o.fault_at_ms);
+    } else if (arg == "--fault-for-ms") {
+      ok = parse_real(value, 0.0, kMaxMs, o.fault_for_ms);
+    } else {
+      std::fprintf(stderr, "datacenter: unknown option %s\n", arg.c_str());
+      usage(stderr);
+      return 2;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "datacenter: bad value for %s: '%s'\n", arg.c_str(), value);
+      usage(stderr);
+      return 2;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t racks = 2;
-  std::size_t threads = 2;
-  std::uint64_t seed = 1;
-  double duration_ms = 2.0;
-  double cross_share = 0.10;
-  std::size_t vms = 1;
-  long fault_rack = -1;
-  double fault_at_ms = 1.0;
-  double fault_for_ms = 1.0;
-  std::string out_path;
+  Options o;
+  if (const std::optional<int> status = parse_args(argc, argv, o)) return *status;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--racks") {
-      racks = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--threads") {
-      threads = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--seed") {
-      seed = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--duration-ms") {
-      duration_ms = std::strtod(value().c_str(), nullptr);
-    } else if (arg == "--cross-share") {
-      cross_share = std::strtod(value().c_str(), nullptr);
-    } else if (arg == "--vms") {
-      vms = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--fault-rack") {
-      fault_rack = std::strtol(value().c_str(), nullptr, 10);
-    } else if (arg == "--fault-at-ms") {
-      fault_at_ms = std::strtod(value().c_str(), nullptr);
-    } else if (arg == "--fault-for-ms") {
-      fault_for_ms = std::strtod(value().c_str(), nullptr);
-    } else if (arg == "--out") {
-      out_path = value();
-    } else {
-      usage();
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
-  }
-  if (racks == 0 || threads == 0 || vms == 0) {
-    usage();
+  // Both the scenario builder and the cluster engine validate their
+  // configs and throw std::invalid_argument listing every error; those
+  // are the caller's mistakes, so they end as usage errors.
+  std::optional<core::Scenario> scenario;
+  std::optional<workload::ClusterEngine> engine;
+  try {
+    scenario.emplace(make_builder(o).build());
+    engine.emplace(scenario->cluster(), make_workload(o));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "datacenter: %s\n", e.what());
+    usage(stderr);
     return 2;
   }
 
-  const core::ScenarioBuilder builder = make_builder(racks, seed, cross_share, threads,
-                                                     fault_rack, fault_at_ms, fault_for_ms);
-  const workload::WorkloadConfig workload = make_workload(racks, vms, duration_ms);
-
   std::printf("== dReDBox multi-rack datacenter ==\n");
-  std::printf("%zu racks on the spine, %.1f ms window, cross-rack share %.2f%s\n\n", racks,
-              duration_ms, cross_share,
-              fault_rack >= 0 ? ", spine fault scheduled" : "");
+  std::printf("%llu racks on the spine, %.1f ms window, cross-rack share %.2f%s\n\n",
+              static_cast<unsigned long long>(o.racks), o.duration_ms, o.cross_share,
+              o.fault_rack ? ", spine fault scheduled" : "");
 
-  // Sequential reference: an independent cluster, same seed, 1 thread.
-  core::Scenario seq_scenario = builder.build();
-  workload::ClusterEngine seq_engine{seq_scenario.cluster(), workload};
-  const workload::ClusterResult seq = seq_engine.run(1);
-  std::printf("sequential:            %s\n\n", seq.summary().c_str());
+  const workload::ClusterResult result = engine->run();
+  std::printf("%s\n", result.summary().c_str());
 
-  // Parallel pass: a fresh, fully independent cluster on `threads` workers.
-  core::Scenario par_scenario = builder.build();
-  workload::ClusterEngine par_engine{par_scenario.cluster(), workload};
-  const workload::ClusterResult par = par_engine.run(threads);
-  std::printf("parallel (%zu threads): %s\n\n", par.threads, par.summary().c_str());
-
-  const bool match = seq.digest == par.digest;
-  const double speedup =
-      par.run.wall_seconds > 0.0 ? seq.run.wall_seconds / par.run.wall_seconds : 0.0;
-  std::printf("digests: %s   speedup %.2fx\n", match ? "IDENTICAL" : "MISMATCH", speedup);
-
-  if (!out_path.empty()) {
-    std::string json = "{\n";
-    json += R"(  "schema": "dredbox-parallel/v1",)" "\n";
-    json += sim::strformat("  \"racks\": %zu,\n  \"threads\": %zu,\n  \"seed\": %llu,\n", racks,
-                           par.threads, static_cast<unsigned long long>(seed));
-    json += sim::strformat("  \"duration_ms\": %.9g,\n  \"cross_share\": %.9g,\n", duration_ms,
-                           cross_share);
-    json += sim::strformat("  \"fault_rack\": %ld,\n", fault_rack);
-    json += sim::strformat("  \"digest\": \"%016llx\",\n  \"digests_match\": %s,\n",
-                           static_cast<unsigned long long>(par.digest),
-                           match ? "true" : "false");
-    json += sim::strformat(
-        "  \"offered\": %llu,\n  \"completed\": %llu,\n  \"failed\": %llu,\n"
-        "  \"cross_ops\": %llu,\n  \"spine_tx_messages\": %llu,\n"
-        "  \"spine_fail_fast\": %llu,\n",
-        static_cast<unsigned long long>(par.offered),
-        static_cast<unsigned long long>(par.completed),
-        static_cast<unsigned long long>(par.failed),
-        static_cast<unsigned long long>(par.cross_ops),
-        static_cast<unsigned long long>(par.spine_tx_messages),
-        static_cast<unsigned long long>(par.spine_fail_fast));
-    json += sim::strformat("  \"rounds\": %zu,\n  \"messages\": %llu,\n", par.run.kernel.rounds,
-                           static_cast<unsigned long long>(par.run.kernel.messages));
-    json += sim::strformat(
-        "  \"sequential_wall_seconds\": %.9g,\n  \"parallel_wall_seconds\": %.9g,\n"
-        "  \"speedup\": %.9g,\n",
-        seq.run.wall_seconds, par.run.wall_seconds, speedup);
-    json += sim::strformat("  \"host\": {\"num_cpus\": %u}\n}\n",
-                           std::thread::hardware_concurrency());
-    std::ofstream out{out_path};
-    out << json;
-    if (!out) {
-      std::printf("failed to write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out_path.c_str());
+  if (result.offered != result.completed + result.failed) {
+    std::printf("conservation BROKEN: offered %llu != completed %llu + failed %llu\n",
+                static_cast<unsigned long long>(result.offered),
+                static_cast<unsigned long long>(result.completed),
+                static_cast<unsigned long long>(result.failed));
+    return 1;
   }
-
-  return match ? 0 : 1;
+  std::printf("conservation: offered = completed + failed\n");
+  return 0;
 }

@@ -2,8 +2,7 @@
 """Reduce benchmark runs into a BENCH_*.json perf-trajectory point, and
 validate observability artifacts. `validate` dispatches on the file's
 shape: dredbox-bench/v1 points, dredbox-sweep/v1 reports from
-examples/sweep, dredbox-parallel/v1 coupled multi-rack reports from
-examples/datacenter, dredbox-report/v1 run reports (DREDBOX_REPORT_FILE),
+examples/sweep, dredbox-report/v1 run reports (DREDBOX_REPORT_FILE),
 Chrome trace-event JSON (DREDBOX_TRACE_FILE) and OpenMetrics text
 (DREDBOX_OPENMETRICS_FILE).
 
@@ -41,19 +40,12 @@ from pathlib import Path
 SCHEMA = "dredbox-bench/v1"
 SWEEP_SCHEMA = "dredbox-sweep/v1"
 REPORT_SCHEMA = "dredbox-report/v1"
-PARALLEL_SCHEMA = "dredbox-parallel/v1"
 
 # Minimum parallel speedup the acceptance bar demands of a sweep — only
 # enforceable when the host actually has at least as many cores as the
 # sweep used threads (a 4-thread sweep on a 1-core CI box is legitimately
 # ~1x; the report still records the honest numbers).
 MIN_SWEEP_SPEEDUP = 2.0
-
-# Same idea for the coupled multi-rack runs (examples/datacenter): the
-# conservative-lookahead kernel pays a barrier per round, so its bar is
-# lower than the embarrassingly-parallel sweep's — and like the sweep's
-# it only binds when the host has the cores to honour it.
-MIN_PARALLEL_SPEEDUP = 1.2
 
 # End-to-end bench stdout lines worth keeping in the record: the paper
 # shape checks and the headline summary figures.
@@ -142,8 +134,6 @@ def reduce_point(args: argparse.Namespace) -> dict:
     }
     if args.sweep:
         point["sweep"] = summarize_sweep(Path(args.sweep))
-    if args.parallel:
-        point["parallel"] = summarize_parallel(Path(args.parallel))
     if args.kernel_profile:
         point["kernel_profile"] = summarize_kernel_profile(Path(args.kernel_profile))
     if baseline:
@@ -221,91 +211,6 @@ def summarize_sweep(path: Path) -> dict:
     if "host" in sweep:
         summary["host"] = sweep["host"]
     return summary
-
-
-def summarize_parallel(path: Path) -> dict:
-    """Reduce an examples/datacenter --out report to the summary embedded
-    in a bench point: the coupled-run determinism verdict plus the honest
-    multi-thread speedup evidence."""
-    report = json.loads(path.read_text(encoding="utf-8"))
-    errors = validate_parallel(path, report)
-    if errors:
-        for e in errors:
-            print(e, file=sys.stderr)
-        raise SystemExit(f"bench-reduce: {path} is not a valid {PARALLEL_SCHEMA} report")
-    summary = {
-        "racks": report["racks"],
-        "threads": report["threads"],
-        "digests_match": report["digests_match"],
-        "rounds": report["rounds"],
-        "messages": report["messages"],
-        "cross_ops": report["cross_ops"],
-        "sequential_wall_seconds": report["sequential_wall_seconds"],
-        "parallel_wall_seconds": report["parallel_wall_seconds"],
-        "speedup": report["speedup"],
-    }
-    if "host" in report:
-        summary["host"] = report["host"]
-    return summary
-
-
-def validate_parallel(path: Path, report: dict) -> list[str]:
-    """Validate a dredbox-parallel/v1 report (examples/datacenter --out)."""
-    errors: list[str] = []
-
-    def err(msg: str) -> None:
-        errors.append(f"{path}: {msg}")
-
-    if report.get("schema") != PARALLEL_SCHEMA:
-        err(f"schema is {report.get('schema')!r}, want {PARALLEL_SCHEMA!r}")
-
-    for key in ("racks", "threads"):
-        if not isinstance(report.get(key), int) or report.get(key, 0) < 1:
-            err(f"{key} must be a positive integer")
-    if not isinstance(report.get("seed"), int):
-        err("seed must be an integer")
-
-    digest = report.get("digest")
-    if not isinstance(digest, str) or not re.fullmatch(r"[0-9a-f]{16}", digest):
-        err("digest must be a 16-digit lowercase hex string")
-    # The point of the artifact: the parallel coupled schedule must be
-    # byte-identical to the sequential reference.
-    if report.get("digests_match") is not True:
-        err("digests_match is false: parallel run diverged from sequential")
-
-    for key in ("offered", "completed", "cross_ops", "spine_tx_messages",
-                "spine_fail_fast", "rounds", "messages"):
-        if not isinstance(report.get(key), int) or report.get(key, -1) < 0:
-            err(f"{key} must be a non-negative integer")
-    if report.get("offered", 0) < 1:
-        err("offered must be positive (an idle run proves nothing)")
-
-    seq = report.get("sequential_wall_seconds")
-    wall = report.get("parallel_wall_seconds")
-    for key, value in (("sequential_wall_seconds", seq), ("parallel_wall_seconds", wall)):
-        if not isinstance(value, (int, float)) or value < 0:
-            err(f"{key} must be >= 0")
-
-    threads = report.get("threads")
-    num_cpus = (report.get("host") or {}).get("num_cpus")
-    # The speedup bar binds only when the host can actually run the
-    # threads in parallel; a multi-thread run on fewer cores records its
-    # honest (sub-1x) number without failing validation.
-    if (
-        isinstance(threads, int)
-        and isinstance(num_cpus, int)
-        and threads > 1
-        and threads <= num_cpus
-        and isinstance(seq, (int, float))
-        and isinstance(wall, (int, float))
-        and wall > 0
-        and seq / wall < MIN_PARALLEL_SPEEDUP
-    ):
-        err(
-            f"coupled-run speedup {seq / wall:.2f}x below the "
-            f"{MIN_PARALLEL_SPEEDUP}x bar ({threads} threads on {num_cpus} cpus)"
-        )
-    return errors
 
 
 def validate_sweep(path: Path, sweep: dict) -> list[str]:
@@ -589,8 +494,6 @@ def validate_point(path: Path) -> list[str]:
         return validate_sweep(path, point)
     if point.get("schema") == REPORT_SCHEMA:
         return validate_report(path, point)
-    if point.get("schema") == PARALLEL_SCHEMA:
-        return validate_parallel(path, point)
 
     if point.get("schema") != SCHEMA:
         err(f"schema is {point.get('schema')!r}, want {SCHEMA!r}")
@@ -648,18 +551,6 @@ def validate_point(path: Path) -> list[str]:
             ):
                 err("sweep.latency_percentiles must be a non-empty list")
 
-    par = point.get("parallel")
-    if par is not None:
-        if not isinstance(par, dict):
-            err("parallel must be an object")
-        else:
-            for key in ("racks", "threads", "digests_match", "rounds",
-                        "sequential_wall_seconds", "parallel_wall_seconds", "speedup"):
-                if key not in par:
-                    err(f"parallel summary missing {key}")
-            if par.get("digests_match") is not True:
-                err("parallel.digests_match must be true")
-
     profile = point.get("kernel_profile")
     if profile is not None:
         if not isinstance(profile, dict) or not isinstance(profile.get("rows"), list):
@@ -688,9 +579,6 @@ def main(argv: list[str]) -> int:
     reduce_p.add_argument("--e2e", action="append", metavar="NAME=WALL=EXIT=STDOUT")
     reduce_p.add_argument("--sweep", metavar="SWEEP_JSON",
                           help="examples/sweep --out report to summarize into the point")
-    reduce_p.add_argument("--parallel", metavar="PARALLEL_JSON",
-                          help="examples/datacenter --out report to summarize into "
-                               "the point (coupled multi-rack speedup evidence)")
     reduce_p.add_argument("--kernel-profile", metavar="REPORT_JSON",
                           help="dredbox-report/v1 artifact from a DREDBOX_PROFILE=1 "
                                "run; its per-label dispatch profile is embedded as "
@@ -719,7 +607,7 @@ def main(argv: list[str]) -> int:
         print(e, file=sys.stderr)
     if not all_errors:
         print(f"bench-reduce: {len(args.files)} file(s) valid against "
-              f"{SCHEMA}/{SWEEP_SCHEMA}/{REPORT_SCHEMA}/{PARALLEL_SCHEMA}"
+              f"{SCHEMA}/{SWEEP_SCHEMA}/{REPORT_SCHEMA}"
               "/trace/openmetrics")
     return 1 if all_errors else 0
 

@@ -13,6 +13,8 @@
 #      order) anywhere in the export pipeline, not just on stdout.
 #      DREDBOX_PROFILE stays unset: the kernel self-profile is host
 #      wall-clock data and legitimately differs between runs.
+#      The multi-rack datacenter example gets the same double run, healthy
+#      and under a spine fault, with its stdout byte-compared.
 #
 # Usage: scripts/determinism.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -28,11 +30,12 @@ fi
 echo "== in-process determinism test =="
 ctest --test-dir "$BUILD_DIR" -R 'Determinism' --output-on-failure
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 QUICKSTART="$BUILD_DIR/examples/quickstart"
 if [[ -x "$QUICKSTART" ]]; then
   echo "== process-level double run (quickstart + artifacts) =="
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
   quickstart_abs="$(cd "$(dirname "$QUICKSTART")" && pwd)/$(basename "$QUICKSTART")"
   # Relative artifact paths + a per-run cwd keep the two runs' environments
   # (and therefore their stdout, which echoes the paths) byte-identical.
@@ -57,6 +60,28 @@ if [[ -x "$QUICKSTART" ]]; then
   [[ "$status" == 0 ]] || exit 1
 else
   echo "== $QUICKSTART not built; skipping process-level check =="
+fi
+
+DATACENTER="$BUILD_DIR/examples/datacenter"
+if [[ -x "$DATACENTER" ]]; then
+  echo "== process-level double run (multi-rack datacenter) =="
+  status=0
+  for fault in "" "--fault-rack 0 --fault-at-ms 0.3 --fault-for-ms 0.4"; do
+    for run in 1 2; do
+      # $fault is deliberately unquoted: it is a list of flags.
+      "$DATACENTER" --racks 2 --duration-ms 1 $fault > "$tmp/datacenter$run.txt"
+    done
+    if cmp -s "$tmp/datacenter1.txt" "$tmp/datacenter2.txt"; then
+      echo "datacenter ${fault:-(healthy)}: byte-identical"
+    else
+      echo "datacenter ${fault:-(healthy)}: runs DIVERGED:" >&2
+      diff "$tmp/datacenter1.txt" "$tmp/datacenter2.txt" | head -40 >&2
+      status=1
+    fi
+  done
+  [[ "$status" == 0 ]] || exit 1
+else
+  echo "== $DATACENTER not built; skipping multi-rack check =="
 fi
 
 echo "determinism: OK"

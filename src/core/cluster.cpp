@@ -42,7 +42,6 @@ DatacenterConfig rack_config(const DatacenterConfig& base, std::size_t r) {
   c.seed = mix_seed(base.seed, r);
   c.racks.clear();
   c.spine = SpineSpec{};
-  c.partitions = 1;
   return c;
 }
 
@@ -57,11 +56,9 @@ std::uint32_t reply_bytes(std::uint32_t bytes, bool write) {
 
 }  // namespace
 
-/// One rack's NIC onto the spine. Owned-by-shard discipline: everything
-/// here except `served_` and `rx_` is written only from the owning rack's
-/// execution context (issue/complete events), and the target-side fields
-/// are written only from the target's context — the partitioned kernel's
-/// barrier rounds order those accesses, so no locking is needed.
+/// One rack's NIC onto the spine. Everything here except `served_` and
+/// `rx_` is written only from the owning rack's events (issue/complete);
+/// the target-side fields only from the target's serve events.
 class Cluster::RackPort final : public CrossRackPort {
  public:
   RackPort(Cluster& cluster, std::uint32_t rack) : cluster_{cluster}, rack_{rack} {}
@@ -98,8 +95,8 @@ class Cluster::RackPort final : public CrossRackPort {
     Cluster* cluster = &cluster_;
     const std::uint32_t target = p.rack;
     const std::uint32_t src = rack_;
-    cluster_.kernel_.send(
-        p.tx_link, now + p.link.one_way(request_bytes(bytes, write)),
+    cluster_.racks_[target]->simulator().at(
+        now + p.link.one_way(request_bytes(bytes, write)),
         [cluster, target, src, slot, address, bytes, write] {
           cluster->serve(target, src, slot, address, bytes, write);
         },
@@ -114,9 +111,8 @@ class Cluster::RackPort final : public CrossRackPort {
   friend class Cluster;
 
   struct Peer {
-    std::uint32_t rack = 0;      // peer rack index
-    std::size_t tx_link = 0;     // kernel link id, this rack -> peer
-    net::InterRackLink link;     // sender-owned outbound direction
+    std::uint32_t rack = 0;   // peer rack index
+    net::InterRackLink link;  // sender-owned outbound direction
   };
 
   /// In-flight request bookkeeping, slot-addressed so the reply message
@@ -187,7 +183,6 @@ Cluster::Cluster(const DatacenterConfig& config)
   }
   wire_spine();
   boot_gateways();
-  kernel_.set_shard_prologue([this](std::size_t shard) { racks_[shard]->rebind_thread_owner(); });
 }
 
 Cluster::~Cluster() = default;
@@ -196,7 +191,6 @@ void Cluster::wire_spine() {
   const std::size_t n = racks_.size();
   for (std::size_t r = 0; r < n; ++r) {
     spine_.attach_rack(static_cast<std::uint32_t>(r));
-    kernel_.add_shard(racks_[r]->simulator());
     ports_.push_back(std::make_unique<RackPort>(*this, static_cast<std::uint32_t>(r)));
   }
   for (std::size_t a = 0; a < n; ++a) {
@@ -210,7 +204,6 @@ void Cluster::wire_spine() {
       if (from == to) continue;
       RackPort::Peer peer;
       peer.rack = static_cast<std::uint32_t>(to);
-      peer.tx_link = kernel_.connect(from, to, config_.spine.propagation);
       peer.link = net::InterRackLink{link_config};
       ports_[from]->peers_.push_back(peer);
     }
@@ -253,7 +246,7 @@ void Cluster::arm_spine_faults(sim::Time base) {
   if (faults_armed_) throw std::logic_error("Cluster: spine faults already armed");
   faults_armed_ = true;
   // Every rack learns about a spine fault through events on its *own*
-  // queue (the only thread allowed to touch its links). Only admission
+  // queue (only its own events touch its links). Only admission
   // is gated by link state, so requests and replies already launched
   // always land.
   for (const auto& fault : config_.spine.faults) {
@@ -295,6 +288,7 @@ void Cluster::serve(std::uint32_t target, std::uint32_t src, std::uint32_t slot,
                     std::uint64_t address, std::uint32_t bytes, bool write) {
   RackPort& port = *ports_[target];
   ++port.rx_;
+  ++delivered_;
   Datacenter& dc = *racks_[target];
   const sim::Time now = dc.simulator().now();
   const Gateway& gw = gateways_[target];
@@ -312,13 +306,14 @@ void Cluster::serve(std::uint32_t target, std::uint32_t src, std::uint32_t slot,
   const bool ok = tx.ok();
   back.link.on_send(reply_bytes(bytes, write));
   Cluster* cluster = this;
-  kernel_.send(
-      back.tx_link, tx.completed_at + back.link.one_way(reply_bytes(bytes, write)),
+  racks_[src]->simulator().at(
+      tx.completed_at + back.link.one_way(reply_bytes(bytes, write)),
       [cluster, src, slot, ok] { cluster->complete(src, slot, ok); }, "spine.reply");
 }
 
 void Cluster::complete(std::uint32_t src, std::uint32_t slot, bool ok) {
   RackPort& port = *ports_[src];
+  ++delivered_;
   const RackPort::Pending pending = port.take_pending(slot);
   CrossCompletion completion{pending.token,       pending.address, pending.write,
                              pending.closed_loop, ok,              pending.issued_at,
@@ -346,9 +341,30 @@ std::uint64_t Cluster::served_digest(std::size_t r) const {
   return ports_.at(r)->served_.value();
 }
 
-sim::PartitionRunStats Cluster::advance_all(sim::Time until, std::size_t threads) {
-  const std::vector<sim::Time> horizons(racks_.size(), until);
-  return kernel_.run(horizons, threads);
+ClusterRunStats Cluster::advance_all(sim::Time until) {
+  ClusterRunStats stats;
+  const std::uint64_t delivered_before = delivered_;
+  std::vector<sim::Time> heads(racks_.size());
+  for (;;) {
+    sim::Time tick = sim::Time::infinity();
+    for (std::size_t r = 0; r < racks_.size(); ++r) {
+      heads[r] = racks_[r]->simulator().queue().next_time();
+      if (heads[r] < tick) tick = heads[r];
+    }
+    if (tick.is_infinite() || tick > until) break;
+    ++stats.rounds;
+    // A head read above stays valid for the whole tick: running a rack to
+    // `tick` only adds events to its peers at least one propagation delay
+    // later, so no other rack's head can move onto `tick`.
+    for (std::size_t r = 0; r < racks_.size(); ++r) {
+      if (heads[r] == tick) racks_[r]->simulator().run_until(tick);
+    }
+  }
+  // Every head is past `until`: this dispatches nothing and parks each
+  // clock exactly at `until` (the Datacenter::advance_to semantics).
+  for (auto& rack : racks_) rack->simulator().run_until(until);
+  stats.messages = delivered_ - delivered_before;
+  return stats;
 }
 
 double Cluster::power_draw_watts() const {

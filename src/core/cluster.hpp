@@ -9,7 +9,7 @@
 #include "core/cross_port.hpp"
 #include "core/datacenter.hpp"
 #include "optics/spine.hpp"
-#include "sim/partition.hpp"
+#include "sim/time.hpp"
 
 namespace dredbox::core {
 
@@ -22,6 +22,14 @@ struct RackLinkStats {
   std::uint64_t fail_fast = 0;
 };
 
+/// What one Cluster::advance_all call did.
+struct ClusterRunStats {
+  /// Distinct event ticks the scheduler visited.
+  std::size_t rounds = 0;
+  /// Spine messages (requests and replies) delivered.
+  std::uint64_t messages = 0;
+};
+
 /// A multi-rack dReDBox deployment: one full Datacenter per rack, joined
 /// by an optical spine switch over which each rack exports a disaggregated
 /// gateway memory window to its peers. Cross-rack reads and writes are
@@ -30,10 +38,10 @@ struct RackLinkStats {
 /// rack's control plane, reply message back — so every byte of cross-rack
 /// traffic exercises the same full stack as intra-rack traffic.
 ///
-/// Each rack is one shard of a sim::PartitionedKernel whose per-link
-/// lookahead is the spine's propagation delay; advance_all() therefore
-/// runs the coupled simulation on any number of threads with a schedule
-/// byte-identical to the single-threaded reference.
+/// Each rack keeps its own event queue, clock and RNG; advance_all()
+/// interleaves them on one thread, earliest tick first. A cross-rack
+/// message is scheduled straight onto the target rack's queue, at least
+/// one spine propagation delay after its send.
 class Cluster {
  public:
   /// Requires config.racks to be non-empty; validates the config and
@@ -54,8 +62,6 @@ class Cluster {
 
   optics::SpineSwitch& spine() { return spine_; }
   const optics::SpineSwitch& spine() const { return spine_; }
-
-  sim::PartitionedKernel& kernel() { return kernel_; }
 
   /// Rack r's NIC onto the spine; the workload layer installs its
   /// completion handler here and issues cross-rack traffic through it.
@@ -80,9 +86,14 @@ class Cluster {
   void arm_spine_faults(sim::Time base);
   bool spine_faults_armed() const { return faults_armed_; }
 
-  /// Advances every rack to `until` in conservative lookahead rounds on
-  /// `threads` workers (threads=1 is the sequential reference schedule).
-  sim::PartitionRunStats advance_all(sim::Time until, std::size_t threads = 1);
+  /// Advances every rack to `until`: repeatedly finds the earliest head
+  /// tick t over all rack queues and runs each rack whose head is t to t,
+  /// in ascending rack index, then parks every clock at `until`. Exact
+  /// without lookahead reasoning: a cross-rack message lands at least one
+  /// propagation delay after its send, so it never reaches a rack whose
+  /// clock has passed it, and within one tick a rack sees events in
+  /// scheduling order (FIFO within a timestamp).
+  ClusterRunStats advance_all(sim::Time until);
 
   /// Total spine + racks instantaneous power.
   double power_draw_watts() const;
@@ -113,10 +124,11 @@ class Cluster {
   DatacenterConfig config_;
   std::vector<std::unique_ptr<Datacenter>> racks_;
   optics::SpineSwitch spine_;
-  sim::PartitionedKernel kernel_;
   std::vector<Gateway> gateways_;
   std::vector<std::unique_ptr<RackPort>> ports_;
   bool faults_armed_ = false;
+  /// Spine messages delivered so far (requests served plus replies).
+  std::uint64_t delivered_ = 0;
 };
 
 }  // namespace dredbox::core

@@ -209,8 +209,8 @@ std::vector<std::string> DatacenterConfig::validate() const {
             sim::strformat("spine.ports: radix %zu below the %zu racks to attach",
                            spine.ports, racks.size()));
     require(errors, spine.propagation > sim::Time::zero(),
-            "spine.propagation: must be strictly positive (it is the partitioned "
-            "kernel's conservative lookahead)");
+            "spine.propagation: must be strictly positive (light takes time to "
+            "cross the spine)");
     require(errors, spine.bandwidth_gbps > 0.0,
             "spine.bandwidth_gbps: must be positive");
     require(errors, spine.switching_time >= sim::Time::zero(),
@@ -234,8 +234,6 @@ std::vector<std::string> DatacenterConfig::validate() const {
               sim::strformat("spine.faults[%zu].duration: must be positive", i));
     }
   }
-  require(errors, partitions >= 1,
-          "partitions: parallel cluster runs need at least one worker thread");
   return errors;
 }
 
@@ -309,7 +307,6 @@ std::uint64_t DatacenterConfig::digest() const {
       fold_time(fault.at);
       fold_time(fault.duration);
     }
-    d.update(static_cast<std::uint64_t>(partitions));
   }
   return d.value();
 }

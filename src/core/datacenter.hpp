@@ -59,8 +59,8 @@ struct SpineFaultSpec {
 struct SpineSpec {
   /// Spine switch duplex port radix (>= number of racks).
   std::size_t ports = 64;
-  /// One-way rack-to-rack propagation through the spine. Also the
-  /// partitioned kernel's conservative lookahead, so strictly positive.
+  /// One-way rack-to-rack propagation through the spine (strictly
+  /// positive: light takes time to cross it).
   sim::Time propagation = sim::Time::ns(500);
   double bandwidth_gbps = 100.0;
   /// Circuit setup charged per rack pair at wiring.
@@ -125,12 +125,9 @@ struct DatacenterConfig {
   /// classic single-rack deployment and leaves validate() and digest()
   /// byte-identical to a config that predates these fields. Non-empty
   /// racks make the top-level shape fields irrelevant (each rack carries
-  /// its own) and arm the spine/partitions fields below.
+  /// its own) and arm the spine fields below.
   std::vector<RackSpec> racks;
   SpineSpec spine;
-  /// Default worker-thread count for parallel cluster runs (>= 1; 1 is
-  /// the sequential reference schedule).
-  std::size_t partitions = 1;
 
   /// Checks the whole deployment shape for physical and numerical sanity
   /// before any hardware is assembled. Returns one human-readable error
@@ -274,13 +271,6 @@ class Datacenter {
 
   /// Instantaneous rack power draw (bricks + switch ports).
   double power_draw_watts() const;
-
-  /// Hands ownership of the rack's thread-confined telemetry to the next
-  /// touching thread. Called by the partitioned kernel's shard prologue:
-  /// barrier rounds may drive this rack from a different pool worker each
-  /// round, which is exactly the "ownership legitimately moves between
-  /// phases" case the confinement checker's rebind exists for.
-  void rebind_thread_owner() { telemetry_.rebind_owner(); }
 
   std::string describe() const;
 

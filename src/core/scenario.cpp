@@ -67,11 +67,6 @@ ScenarioBuilder& ScenarioBuilder::spine(const SpineSpec& spec) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::partitions(std::size_t n) {
-  config_.partitions = n;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::cross_rack_share(double share) {
   config_.spine.cross_share = share;
   return *this;
@@ -188,7 +183,7 @@ Scenario ScenarioBuilder::build() const {
   if (!config_.racks.empty()) {
     // Multi-rack topology: everything declared for "the rack" applies to
     // every rack of the cluster, including the fault plan (each rack runs
-    // its own injector on its own shard).
+    // its own injector on its own queue).
     scenario.cluster_ = std::make_unique<Cluster>(config_);  // ctor validates
     for (std::size_t r = 0; r < scenario.cluster_->size(); ++r) {
       Datacenter& dc = scenario.cluster_->rack(r);

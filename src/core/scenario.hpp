@@ -97,12 +97,8 @@ class ScenarioBuilder {
   ScenarioBuilder& add_rack(const RackSpec& rack = {});
   /// Appends `n` identical racks in one call.
   ScenarioBuilder& add_racks(std::size_t n, const RackSpec& rack = {});
-  /// Inter-rack spine parameters (propagation doubles as the partitioned
-  /// kernel's conservative lookahead).
+  /// Inter-rack spine parameters.
   ScenarioBuilder& spine(const SpineSpec& spec);
-  /// Default worker-thread count for parallel cluster runs (1 = the
-  /// sequential reference schedule).
-  ScenarioBuilder& partitions(std::size_t n);
   /// Deployment-wide fraction of every tenant's read/write stream that
   /// crosses the spine to a peer rack (TenantSpec::cross_rack_share
   /// overrides per tenant).

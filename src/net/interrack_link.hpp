@@ -10,17 +10,15 @@ namespace dredbox::net {
 /// optical spine: fixed propagation (fiber length plus the spine's
 /// transit) and a serialization term from the line rate.
 struct InterRackLinkConfig {
-  /// One-way propagation, rack NIC to rack NIC through the spine. This is
-  /// also the partitioned kernel's conservative lookahead for the link, so
-  /// it must be strictly positive.
+  /// One-way propagation, rack NIC to rack NIC through the spine (strictly
+  /// positive).
   sim::Time propagation = sim::Time::ns(500);
   double bandwidth_gbps = 100.0;
 };
 
-/// One direction of an inter-rack link, owned by the *sending* rack's
-/// partition shard: its up/down state is flipped only by that shard's own
-/// fault events and read only on that shard's send path, so the link needs
-/// no locking — the spine's time-varying health is fully sharded.
+/// One direction of an inter-rack link, owned by the *sending* rack: its
+/// up/down state is flipped only by that rack's own fault events and read
+/// only on that rack's send path.
 ///
 /// Semantics mirror the intra-rack fabric's fail-fast story: a down link
 /// rejects new requests at the sender; traffic already in flight (light

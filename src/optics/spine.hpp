@@ -29,8 +29,8 @@ struct SpineSwitchConfig {
 /// circuits and the power/loss the device contributes to the TCO and
 /// link-budget stories. Deliberately holds no simulation-time state — the
 /// time-varying side of the spine (per-direction link health, in-flight
-/// messages) lives in the per-rack net::InterRackLink objects each
-/// partition shard owns, so nothing here is ever touched concurrently.
+/// messages) lives in the per-rack net::InterRackLink objects each rack
+/// owns.
 class SpineSwitch {
  public:
   explicit SpineSwitch(const SpineSwitchConfig& config = {});

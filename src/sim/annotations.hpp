@@ -121,10 +121,6 @@ class ThreadConfined {
                           "(share it via its own thread, or add real locking)");
   }
 
-  /// Releases confinement (e.g. when ownership legitimately moves between
-  /// phases, as a moved-from object's does).
-  void rebind() { owner_.store(0, std::memory_order_relaxed); }
-
  private:
   // Hashed owner thread id; 0 = not yet claimed. (A hash collision or a
   // thread id hashing to 0 weakens, never breaks, the check.)
@@ -136,7 +132,6 @@ class ThreadConfined {
 class ThreadConfined {
  public:
   void assert_confined(const char*) const {}
-  void rebind() {}
 };
 
 #endif  // DREDBOX_AUDIT_ENABLED

@@ -157,23 +157,15 @@ class MetricsRegistry {
   /// false when the variable is unset).
   bool write_csv(const std::string& name) const { return maybe_write_csv(name, snapshot()); }
 
-  /// Folds another registry in (e.g. per-shard registries of a partitioned
-  /// experiment): counters add, histograms merge their aggregates and
-  /// buckets (shapes must match; throws otherwise), gauges take the other
-  /// side's value when it was ever written. Missing instruments are
+  /// Folds another registry in: counters add, histograms merge their
+  /// aggregates and buckets (shapes must match; throws otherwise), gauges
+  /// take the other side's value when it was ever written. Missing instruments are
   /// created.
   void merge(const MetricsRegistry& other);
 
   /// Zeroes every instrument (between experiment repetitions); the
   /// instrument set and enabled flag are kept.
   void reset();
-
-  /// Hands thread ownership over: the next touching thread becomes the
-  /// owner. For the partitioned kernel, which legitimately drives one
-  /// rack's registry from a different pool worker each barrier round —
-  /// rounds are barrier-separated, so exactly one thread owns it at any
-  /// instant, which is what the confinement check enforces per round.
-  void rebind_owner() { confined_.rebind(); }
 
  private:
   bool enabled_ = false;
@@ -217,14 +209,6 @@ class Telemetry {
 
   /// Cheap guard call sites use before building span names/attributes.
   bool tracing() const { return tracer_.enabled(); }
-
-  /// Re-binds both thread-confined halves to the next touching thread
-  /// (one barrier round of the partitioned kernel; see
-  /// MetricsRegistry::rebind_owner).
-  void rebind_owner() {
-    metrics_.rebind_owner();
-    tracer_.rebind_owner();
-  }
 
  private:
   metrics::MetricsRegistry metrics_;

@@ -95,8 +95,8 @@ struct ScheduleAuditReport {
 /// under seeded permutations of every same-timestamp dispatch batch and
 /// proves the canonical digest independent of tie order — the gating
 /// proof that no code depends on the FIFO tie-break incidentally, which
-/// the calendar-queue event-kernel rewrite (ROADMAP item 1) and the
-/// partitioned parallel simulation (item 2) both require.
+/// the calendar-queue event-kernel rewrite and the multi-rack scheduler
+/// both rely on.
 ///
 /// The scenario is a callback: build a fresh simulation (same seed every
 /// time), arm the given perturbation on its EventQueue *before* running,

@@ -173,11 +173,6 @@ class Tracer {
 
   void clear();
 
-  /// Hands thread ownership over (see MetricsRegistry::rebind_owner): the
-  /// partitioned kernel re-binds each rack's tracer to whichever barrier-
-  /// separated pool worker drives the rack this round.
-  void rebind_owner() { confined_.rebind(); }
-
  private:
   std::size_t capacity_;
   bool enabled_ = false;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/cluster.hpp"
-#include "core/parallel_runner.hpp"
 #include "sim/time.hpp"
 #include "workload/engine.hpp"
 
@@ -16,8 +15,8 @@ namespace dredbox::workload {
 /// Everything a multi-rack load session measured: one WorkloadResult per
 /// rack plus cluster-level reductions. `digest` folds every rack's op
 /// stream, every rack's *served* cross-traffic schedule and the spine
-/// link counters in rack order, so a parallel run matches the sequential
-/// reference iff the two coupled schedules were byte-identical.
+/// link counters in rack order, so two runs share a digest iff their
+/// coupled schedules were byte-identical.
 struct ClusterResult {
   std::vector<WorkloadResult> racks;
 
@@ -31,7 +30,13 @@ struct ClusterResult {
   std::uint64_t spine_fail_fast = 0;
 
   std::uint64_t digest = 0;
-  core::ParallelRunReport run;
+  /// The coupled window: the scheduler's tick and message counts plus the
+  /// host wall time it took.
+  struct Run {
+    core::ClusterRunStats kernel;
+    double wall_seconds = 0.0;
+  } run;
+  /// Always 1: the cluster runs on one sequential scheduler.
   std::size_t threads = 1;
   double duration_s = 0.0;
 
@@ -39,14 +44,15 @@ struct ClusterResult {
     return duration_s > 0.0 ? static_cast<double>(completed) / duration_s : 0.0;
   }
 
+  /// Deterministic text: no host timings, so two same-seed runs print
+  /// byte-identical summaries.
   std::string summary() const;
 };
 
 /// Drives one WorkloadConfig against a core::Cluster: tenants land on
 /// their home_rack, each rack gets its own WorkloadEngine wired to the
-/// rack's spine NIC, and the coupled window runs on the partitioned
-/// kernel — sequentially for threads=1, in conservative-lookahead
-/// parallel rounds otherwise, with a byte-identical schedule either way.
+/// rack's spine NIC, and the coupled window runs on the cluster's
+/// earliest-tick scheduler (core::Cluster::advance_all).
 class ClusterEngine {
  public:
   /// Throws std::invalid_argument listing every config error (including
@@ -55,9 +61,10 @@ class ClusterEngine {
 
   const WorkloadConfig& config() const { return config_; }
 
-  /// Boots, generates, drains, reduces, once. `threads` == 0 uses the
-  /// cluster config's partitions setting.
-  ClusterResult run(std::size_t threads = 0);
+  /// Boots, generates, drains, reduces, once. The run is always
+  /// sequential; the argument is ignored and stays only so that callers
+  /// passing a worker count keep compiling.
+  ClusterResult run(std::size_t threads = 1);
 
  private:
   core::Cluster& cluster_;

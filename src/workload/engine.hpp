@@ -126,7 +126,7 @@ class WorkloadEngine {
   // --- phase API ---
   // The cluster engine drives each rack's engine through these so the
   // *coupled* advance between begin_window() and finish() can run on the
-  // partitioned kernel instead of each rack's private clock: prepare()
+  // cluster's scheduler instead of each rack's private clock: prepare()
   // every rack, advance every rack to the global max boot_ready(),
   // begin_window() every rack, advance the cluster to the shared horizon,
   // finish() every rack.

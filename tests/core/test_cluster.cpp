@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "net/interrack_link.hpp"
 #include "sim/contract.hpp"
 #include "sim/time.hpp"
 
@@ -37,14 +38,12 @@ TEST(ClusterConfigTest, ErrorsNameDottedFields) {
   config.spine.propagation = sim::Time::zero();
   config.spine.cross_share = 1.5;
   config.spine.faults.push_back(SpineFaultSpec{7, sim::Time::ms(1), sim::Time::ms(1)});
-  config.partitions = 0;
   const auto errors = config.validate();
   EXPECT_TRUE(mentions(errors, "racks[0].trays"));
   EXPECT_TRUE(mentions(errors, "racks[1].memory_bricks_per_tray"));
   EXPECT_TRUE(mentions(errors, "spine.propagation"));
   EXPECT_TRUE(mentions(errors, "spine.cross_share"));
   EXPECT_TRUE(mentions(errors, "spine.faults[0].rack"));
-  EXPECT_TRUE(mentions(errors, "partitions"));
 }
 
 TEST(ClusterConfigTest, SpineRadixMustCoverTheRacks) {
@@ -54,14 +53,13 @@ TEST(ClusterConfigTest, SpineRadixMustCoverTheRacks) {
 }
 
 TEST(ClusterConfigTest, MultiRackFieldsLeaveSingleRackDigestAlone) {
-  // The new spine/partitions knobs are inert while `racks` is empty: a
-  // pre-existing single-rack config folds to the same digest it always
-  // did, so every pinned example digest survives the API extension.
+  // The spine knobs are inert while `racks` is empty: a pre-existing
+  // single-rack config folds to the same digest it always did, so every
+  // pinned example digest survives the API extension.
   const DatacenterConfig base;
   DatacenterConfig tweaked;
   tweaked.spine.propagation = sim::Time::us(3);
   tweaked.spine.cross_share = 0.5;
-  tweaked.partitions = 8;
   EXPECT_EQ(base.digest(), tweaked.digest());
 
   DatacenterConfig cluster = cluster_config(2);
@@ -80,13 +78,11 @@ TEST(ClusterBuilderTest, BuilderAssemblesAMultiRackScenario) {
   Scenario scenario = ScenarioBuilder{}
                           .add_racks(3, RackSpec{1, 2, 2, 0})
                           .cross_rack_share(0.25)
-                          .partitions(2)
                           .spine_fault(1, sim::Time::ms(1), sim::Time::ms(2))
                           .build();
   ASSERT_TRUE(scenario.is_cluster());
   Cluster& cluster = scenario.cluster();
   EXPECT_EQ(cluster.size(), 3u);
-  EXPECT_EQ(cluster.config().partitions, 2u);
   EXPECT_DOUBLE_EQ(cluster.config().spine.cross_share, 0.25);
   ASSERT_EQ(cluster.config().spine.faults.size(), 1u);
   EXPECT_EQ(cluster.config().spine.faults[0].rack, 1u);
@@ -144,7 +140,7 @@ TEST(ClusterTest, CrossReadRoundTripCrossesTheSpineTwice) {
   port.set_handler([&](const CrossCompletion& c) { done.push_back(c); });
   port.issue(0, 4096, 64, /*write=*/false, /*token=*/7, /*closed_loop=*/false);
   port.issue(0, 8192, 64, /*write=*/false, /*token=*/8, /*closed_loop=*/false);
-  rig.cluster.advance_all(rig.start + sim::Time::ms(1), 2);
+  rig.cluster.advance_all(rig.start + sim::Time::ms(1));
 
   ASSERT_EQ(done.size(), 2u);
   EXPECT_TRUE(done[0].ok);
@@ -166,6 +162,44 @@ TEST(ClusterTest, CrossReadRoundTripCrossesTheSpineTwice) {
   EXPECT_NE(rig.cluster.served_digest(1), 0u);
 }
 
+/// Rack 0 issues one cross-rack read; a local event on rack 1 at the
+/// request's exact arrival tick reads rack 1's received-request count.
+/// `probe_first` schedules that event before the issue, else after it.
+/// Returns what it saw.
+std::uint64_t rx_seen_on_arrival_tick(bool probe_first) {
+  TwoRacks rig;
+  const SpineSpec& spine = rig.cluster.config().spine;
+  // A read request carries only the 32-byte spine header.
+  const net::InterRackLink link{
+      net::InterRackLinkConfig{spine.propagation, spine.bandwidth_gbps}};
+  const sim::Time arrival = rig.start + link.one_way(32);
+  sim::Simulator& target = rig.cluster.rack(1).simulator();
+  Cluster* cluster = &rig.cluster;
+  std::uint64_t just_before = ~0ull;
+  std::uint64_t seen = ~0ull;
+  target.at(arrival - sim::Time::ps(1),
+            [cluster, &just_before] { just_before = cluster->link_stats(1).rx_messages; });
+  const auto probe = [&] {
+    target.at(arrival, [cluster, &seen] { seen = cluster->link_stats(1).rx_messages; });
+  };
+  rig.cluster.port(0).set_handler([](const CrossCompletion&) {});
+  if (probe_first) probe();
+  rig.cluster.port(0).issue(0, 0, 64, /*write=*/false, /*token=*/1, /*closed_loop=*/false);
+  if (!probe_first) probe();
+  rig.cluster.advance_all(rig.start + sim::Time::ms(1));
+  EXPECT_EQ(just_before, 0u) << "the request must land exactly on the probed tick";
+  EXPECT_EQ(rig.cluster.link_stats(1).rx_messages, 1u);
+  return seen;
+}
+
+TEST(ClusterTest, CrossRackArrivalTiesRunInSchedulingOrder) {
+  // FIFO within a timestamp across the spine: the request is scheduled
+  // on rack 1 when rack 0 issues it, so a same-tick local event runs
+  // before it iff it was scheduled first.
+  EXPECT_EQ(rx_seen_on_arrival_tick(/*probe_first=*/true), 0u);
+  EXPECT_EQ(rx_seen_on_arrival_tick(/*probe_first=*/false), 1u);
+}
+
 TEST(ClusterTest, DownLinkFailsFastAtTheSender) {
   // Arm a fault that downs rack 0's uplink immediately for 1 ms.
   Scenario scenario = ScenarioBuilder{}
@@ -179,12 +213,12 @@ TEST(ClusterTest, DownLinkFailsFastAtTheSender) {
   }
   for (std::size_t r = 0; r < cluster.size(); ++r) cluster.rack(r).advance_to(t0);
   cluster.arm_spine_faults(t0);
-  cluster.advance_all(t0 + sim::Time::us(10), 1);  // the down event fires
+  cluster.advance_all(t0 + sim::Time::us(10));  // the down event fires
 
   std::vector<CrossCompletion> done;
   cluster.port(0).set_handler([&](const CrossCompletion& c) { done.push_back(c); });
   cluster.port(0).issue(0, 0, 64, /*write=*/true, /*token=*/1, /*closed_loop=*/false);
-  cluster.advance_all(t0 + sim::Time::us(20), 1);
+  cluster.advance_all(t0 + sim::Time::us(20));
 
   ASSERT_EQ(done.size(), 1u);
   EXPECT_FALSE(done[0].ok);
@@ -192,9 +226,9 @@ TEST(ClusterTest, DownLinkFailsFastAtTheSender) {
   EXPECT_EQ(cluster.link_stats(1).rx_messages, 0u);
 
   // After the restore, the same port carries traffic again.
-  cluster.advance_all(t0 + sim::Time::ms(2), 1);
+  cluster.advance_all(t0 + sim::Time::ms(2));
   cluster.port(0).issue(0, 0, 64, /*write=*/true, /*token=*/2, /*closed_loop=*/false);
-  cluster.advance_all(t0 + sim::Time::ms(3), 1);
+  cluster.advance_all(t0 + sim::Time::ms(3));
   ASSERT_EQ(done.size(), 2u);
   EXPECT_TRUE(done[1].ok);
 }

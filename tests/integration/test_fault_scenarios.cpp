@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "core/dredbox.hpp"
 #include "memsys/dma.hpp"
@@ -96,6 +99,32 @@ TEST_F(FaultScenario, LinkFlapHealsTransparentlyUnderLoad) {
   EXPECT_EQ(after.front().compute_base, before.front().compute_base);
   EXPECT_EQ(after.front().size, before.front().size);
   audit_everything();
+}
+
+TEST_F(FaultScenario, FaultTransitionsAreLabeledInTheKernelProfile) {
+  // Every event of a faulty window names its type in the kernel
+  // self-profile, fault injections and recoveries included, so a profile
+  // can attribute all of the window's host time.
+  const auto vm = boot_with_optical_attachment();
+  const auto attachment = dc_.fabric().attachments_of(vm.compute).front();
+  dc_.simulator().queue().enable_profiling();
+  const Time t0 = dc_.simulator().now();
+  dc_.inject_faults(sim::FaultPlan::parse("link-flap@1ms+2ms;congestion@2ms+1ms:magnitude=4;"
+                                          "loss-burst@3ms+1ms:magnitude=2;controller-stall@4ms+1ms")
+                        .shifted(t0));
+  for (std::int64_t i = 1; i <= 16; ++i) {
+    dc_.advance_to(t0 + Time::us(500) * i);
+    dc_.remote_read(vm.compute, attachment.compute_base, 64);
+  }
+  dc_.advance_to(t0 + Time::ms(12));
+  ASSERT_EQ(dc_.faults().injected(), 4u);
+  ASSERT_GT(dc_.faults().recovered(), 0u);
+
+  std::vector<std::string> labels;
+  for (const auto& row : dc_.simulator().queue().kernel_profile()) labels.push_back(row.label);
+  EXPECT_EQ(std::count(labels.begin(), labels.end(), "(unlabeled)"), 0);
+  EXPECT_EQ(std::count(labels.begin(), labels.end(), "orch.fault.inject"), 1);
+  EXPECT_EQ(std::count(labels.begin(), labels.end(), "orch.fault.recover"), 1);
 }
 
 TEST_F(FaultScenario, LinkFlapRecoverySweepRepairsIdleAttachments) {

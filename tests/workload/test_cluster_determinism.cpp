@@ -53,26 +53,36 @@ WorkloadConfig make_workload(const RunSpec& spec) {
   return config;
 }
 
-ClusterResult run_once(const RunSpec& spec, std::size_t threads) {
+ClusterResult run_once(const RunSpec& spec) {
   core::Scenario scenario = make_builder(spec).build();
   ClusterEngine engine{scenario.cluster(), make_workload(spec)};
-  return engine.run(threads);
+  return engine.run();
 }
 
-TEST(ClusterDeterminismTest, ParallelDigestsMatchSequentialAcrossSeeds) {
+// Reference digests, pinned from the conservative-lookahead partitioned
+// kernel this scheduler replaced (its sequential and threaded runs agreed
+// on every one). That kernel computed the same coupled schedule by an
+// independent mechanism — barrier rounds with merged cross-rack channels
+// — so matching it checks the earliest-tick loop against a second
+// implementation, not against itself.
+constexpr std::uint64_t kSeedDigests[] = {
+    0x1c0d90e122bd5297ull, 0xd532b61c8bd71313ull, 0x4d41840240e8f7d3ull,
+    0xfb38faf5a3d3e9ddull, 0x7a070c4ffcdcdc06ull, 0x4963af1a0dad19baull,
+    0xbe34ca569b4db141ull, 0x5cea90b31234c445ull,
+};
+constexpr std::uint64_t kFourRackSeed7Digest = 0x4b87a40022312e1bull;
+constexpr std::uint64_t kSpineFaultSeed3Digest = 0x3cf1315c97624e1eull;
+constexpr std::uint64_t kSingleRackDigest = 0xca59cfbf9845f63aull;
+
+TEST(ClusterDeterminismTest, DigestsMatchPinnedReferenceAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     RunSpec spec;
     spec.seed = seed;
-    const ClusterResult reference = run_once(spec, 1);
-    EXPECT_GT(reference.completed, 0u) << "seed " << seed;
-    EXPECT_GT(reference.cross_ops, 0u) << "seed " << seed;
-    for (std::size_t threads : {2u, 4u}) {
-      const ClusterResult parallel = run_once(spec, threads);
-      EXPECT_EQ(parallel.digest, reference.digest)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(parallel.completed, reference.completed)
-          << "seed " << seed << " threads " << threads;
-    }
+    const ClusterResult result = run_once(spec);
+    EXPECT_GT(result.completed, 0u) << "seed " << seed;
+    EXPECT_GT(result.cross_ops, 0u) << "seed " << seed;
+    EXPECT_EQ(result.offered, result.completed + result.failed) << "seed " << seed;
+    EXPECT_EQ(result.digest, kSeedDigests[seed - 1]) << "seed " << seed;
   }
 }
 
@@ -80,19 +90,18 @@ TEST(ClusterDeterminismTest, SeedsActuallyChangeTheSchedule) {
   RunSpec a, b;
   a.seed = 1;
   b.seed = 2;
-  EXPECT_NE(run_once(a, 1).digest, run_once(b, 1).digest);
+  EXPECT_NE(run_once(a).digest, run_once(b).digest);
 }
 
 TEST(ClusterDeterminismTest, SingleRackClusterIsDegenerate) {
   RunSpec spec;
   spec.racks = 1;
   spec.cross_share = 0.5;  // no peers: must never produce cross traffic
-  const ClusterResult reference = run_once(spec, 1);
-  const ClusterResult parallel = run_once(spec, 4);
-  EXPECT_EQ(parallel.digest, reference.digest);
-  EXPECT_EQ(reference.cross_ops, 0u);
-  EXPECT_EQ(reference.spine_tx_messages, 0u);
-  EXPECT_GT(reference.completed, 0u);
+  const ClusterResult result = run_once(spec);
+  EXPECT_EQ(result.digest, kSingleRackDigest);
+  EXPECT_EQ(result.cross_ops, 0u);
+  EXPECT_EQ(result.spine_tx_messages, 0u);
+  EXPECT_GT(result.completed, 0u);
 }
 
 TEST(ClusterDeterminismTest, FourRackTopologyHoldsTheProperty) {
@@ -101,29 +110,24 @@ TEST(ClusterDeterminismTest, FourRackTopologyHoldsTheProperty) {
   spec.seed = 7;
   spec.cross_share = 0.3;
   spec.window = sim::Time::us(200);
-  const ClusterResult reference = run_once(spec, 1);
-  EXPECT_GT(reference.cross_ops, 0u);
-  for (std::size_t threads : {2u, 4u}) {
-    EXPECT_EQ(run_once(spec, threads).digest, reference.digest) << "threads " << threads;
-  }
+  const ClusterResult result = run_once(spec);
+  EXPECT_GT(result.cross_ops, 0u);
+  EXPECT_EQ(result.digest, kFourRackSeed7Digest);
+  EXPECT_EQ(run_once(spec).digest, result.digest) << "same seed, same schedule";
 }
 
 TEST(ClusterDeterminismTest, MidWindowSpineFaultStaysDeterministic) {
   RunSpec spec;
   spec.seed = 3;
   spec.fault = true;
-  const ClusterResult reference = run_once(spec, 1);
-  EXPECT_GT(reference.spine_fail_fast, 0u)
-      << "the fault window must actually reject traffic";
-  for (std::size_t threads : {2u, 4u}) {
-    const ClusterResult parallel = run_once(spec, threads);
-    EXPECT_EQ(parallel.digest, reference.digest) << "threads " << threads;
-    EXPECT_EQ(parallel.spine_fail_fast, reference.spine_fail_fast) << "threads " << threads;
-  }
+  const ClusterResult result = run_once(spec);
+  EXPECT_GT(result.spine_fail_fast, 0u) << "the fault window must actually reject traffic";
+  EXPECT_EQ(result.digest, kSpineFaultSeed3Digest);
+  EXPECT_EQ(result.offered, result.completed + result.failed);
 
   RunSpec healthy = spec;
   healthy.fault = false;
-  EXPECT_NE(run_once(healthy, 1).digest, reference.digest)
+  EXPECT_NE(run_once(healthy).digest, result.digest)
       << "the fault must leave a mark on the schedule";
 }
 
@@ -159,7 +163,7 @@ TEST(ClusterDeterminismTest, SixteenSchedulePerturbationsLeaveOutcomesIntact) {
   RunSpec spec;
   spec.seed = 5;
   spec.window = sim::Time::us(200);
-  const std::uint64_t baseline = canonical(run_once(spec, 2));
+  const std::uint64_t baseline = canonical(run_once(spec));
 
   constexpr sim::SchedulePerturbation::Mode kCycle[] = {
       sim::SchedulePerturbation::Mode::kReverse,
@@ -177,7 +181,7 @@ TEST(ClusterDeterminismTest, SixteenSchedulePerturbationsLeaveOutcomesIntact) {
       scenario.cluster().rack(r).simulator().queue().set_perturbation(perturbation);
     }
     ClusterEngine engine{scenario.cluster(), make_workload(spec)};
-    EXPECT_EQ(canonical(engine.run(2)), baseline)
+    EXPECT_EQ(canonical(engine.run()), baseline)
         << "perturbation " << i << " (" << perturbation.to_string() << ")";
   }
 }
