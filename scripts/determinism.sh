@@ -15,6 +15,9 @@
 #      wall-clock data and legitimately differs between runs.
 #      The multi-rack datacenter example gets the same double run, healthy
 #      and under a spine fault, with its stdout byte-compared.
+#   3. Every other example and every paper bench (bench/fig*, bench/abl*,
+#      table1_workloads): run twice, stdout byte-compared. Only
+#      examples/sweep is left out: it prints host wall-clock timings.
 #
 # Usage: scripts/determinism.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -83,5 +86,27 @@ if [[ -x "$DATACENTER" ]]; then
 else
   echo "== $DATACENTER not built; skipping multi-rack check =="
 fi
+
+echo "== process-level double run (examples + paper benches) =="
+status=0
+count=0
+mkdir -p "$tmp/progs"
+for prog in "$BUILD_DIR"/examples/* "$BUILD_DIR"/bench/fig* "$BUILD_DIR"/bench/abl* \
+            "$BUILD_DIR"/bench/table1_workloads; do
+  [[ -f "$prog" && -x "$prog" ]] || continue
+  case "$(basename "$prog")" in sweep | datacenter) continue ;; esac
+  prog_abs="$(cd "$(dirname "$prog")" && pwd)/$(basename "$prog")"
+  for run in 1 2; do
+    (cd "$tmp/progs" && "$prog_abs" > "../prog$run.txt" 2>&1)
+  done
+  count=$((count + 1))
+  if ! cmp -s "$tmp/prog1.txt" "$tmp/prog2.txt"; then
+    echo "$(basename "$prog"): runs DIVERGED:" >&2
+    diff "$tmp/prog1.txt" "$tmp/prog2.txt" | head -20 >&2
+    status=1
+  fi
+done
+[[ "$status" == 0 ]] || exit 1
+echo "$count programs: stdout byte-identical"
 
 echo "determinism: OK"

@@ -28,6 +28,13 @@ const sim::ComponentId kBdMemAccess = sim::component_id("memory access");
 const sim::ComponentId kBdRetryBackoff = sim::component_id("retry backoff");
 const sim::ComponentId kBdReprovision = sim::component_id("circuit re-provision");
 
+// Re-points one RMST entry: the table has no in-place update, so the entry
+// is removed and re-inserted (it moves to the end of the insertion order).
+void repoint(hw::Rmst& rmst, hw::SegmentId old_segment, const hw::RmstEntry& entry) {
+  rmst.remove(old_segment);
+  rmst.insert(entry);
+}
+
 }  // namespace
 
 std::string to_string(TransactionKind kind) {
@@ -161,6 +168,173 @@ std::optional<Attachment> RemoteMemoryFabric::attach(const AttachRequest& reques
   return result;
 }
 
+RemoteMemoryFabric::Link RemoteMemoryFabric::link_of(const Attachment& a) {
+  return Link{a.circuit, a.medium, a.lanes, a.switch_hops, a.fiber_length_m, hw::PortId{0}};
+}
+
+void RemoteMemoryFabric::ride(Attachment& a, const Link& link, sim::Time now) {
+  a.circuit = link.id;
+  a.medium = link.medium;
+  a.lanes = link.lanes;
+  a.switch_hops = link.switch_hops;
+  a.fiber_length_m = link.fiber_length_m;
+  a.established_at = now;
+}
+
+std::vector<Attachment>::iterator RemoteMemoryFabric::find_record(hw::BrickId compute,
+                                                                  hw::SegmentId segment) {
+  return std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
+    return a.compute == compute && a.segment == segment;
+  });
+}
+
+std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::pair_link(
+    hw::BrickId compute, hw::BrickId membrick) const {
+  for (const auto& a : attachments_) {
+    if (a.compute == compute && a.membrick == membrick) return link_of(a);
+  }
+  return std::nullopt;
+}
+
+bool RemoteMemoryFabric::ports_free(hw::BrickId compute, hw::BrickId membrick,
+                                    std::size_t lanes) {
+  if (rack_.brick(compute).free_port_count(/*circuit_based=*/true) < lanes) {
+    last_error_ = AttachError::kNoComputePort;
+    return false;
+  }
+  if (rack_.brick(membrick).free_port_count(/*circuit_based=*/true) < lanes) {
+    last_error_ = AttachError::kNoMemoryPort;
+    return false;
+  }
+  return true;
+}
+
+RemoteMemoryFabric::Link RemoteMemoryFabric::wire_electrical(hw::BrickId compute,
+                                                             hw::BrickId membrick, Link want) {
+  // Tray backplane cross-connect: no optical switch ports involved.
+  ElectricalLink link{hw::CircuitId{next_electrical_id_++}, compute, membrick, {}, {}};
+  for (std::size_t l = 0; l < want.lanes; ++l) {
+    auto* cport = rack_.brick(compute).find_free_port(/*circuit_based=*/true);
+    auto* mport = rack_.brick(membrick).find_free_port(/*circuit_based=*/true);
+    cport->connected = true;
+    mport->connected = true;
+    link.a_ports.push_back(cport->id);
+    link.b_ports.push_back(mport->id);
+  }
+  want.id = link.id;
+  want.medium = LinkMedium::kElectrical;
+  want.out_port = link.a_ports.front();
+  electrical_.push_back(std::move(link));
+  return want;
+}
+
+std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::wire_optical(hw::BrickId compute,
+                                                                         hw::BrickId membrick,
+                                                                         Link want) {
+  // One circuit per lane, all bonded under the first (primary) id.
+  OpticalBond bond;
+  for (std::size_t l = 0; l < want.lanes; ++l) {
+    auto* cport = rack_.brick(compute).find_free_port(/*circuit_based=*/true);
+    auto* mport = rack_.brick(membrick).find_free_port(/*circuit_based=*/true);
+    if (cport == nullptr || mport == nullptr) {
+      last_error_ =
+          cport == nullptr ? AttachError::kNoComputePort : AttachError::kNoMemoryPort;
+      break;
+    }
+    optics::CircuitRequest creq;
+    creq.a = optics::CircuitEndpoint{compute, cport->id, -3.7, 1.2};
+    creq.b = optics::CircuitEndpoint{membrick, mport->id, -3.7, 1.2};
+    creq.hops = want.switch_hops;
+    creq.fiber_length_m = want.fiber_length_m;
+    auto circuit = circuits_.establish(creq);
+    if (!circuit) {
+      last_error_ = AttachError::kNoSwitchPorts;
+      break;
+    }
+    cport->connected = true;
+    mport->connected = true;
+    if (bond.all.empty()) want.out_port = cport->id;
+    bond.all.push_back(circuit->id);
+  }
+  if (bond.all.empty()) return std::nullopt;
+  bond.primary = bond.all.front();
+  want.id = bond.primary;
+  want.medium = LinkMedium::kOptical;
+  want.lanes = bond.all.size();
+  if (bond.all.size() > 1) bonds_.push_back(std::move(bond));
+  return want;
+}
+
+std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::wire_packet(hw::BrickId compute,
+                                                                        hw::BrickId membrick,
+                                                                        Link want) {
+  // Packet substrate (Section III): when the system runs low on physical
+  // circuit ports, the orchestrator programs packet-switch lookup tables
+  // instead of a dedicated circuit; one route serves the whole pair.
+  if (packet_net_ == nullptr || !packet_net_->has_brick(compute) ||
+      !packet_net_->has_brick(membrick)) {
+    return std::nullopt;
+  }
+  want.medium = LinkMedium::kPacket;
+  want.lanes = 1;
+  want.out_port = hw::PortId{0};
+  const auto route = std::find_if(packet_.begin(), packet_.end(), [&](const PacketLink& l) {
+    return l.a == compute && l.b == membrick;
+  });
+  if (route != packet_.end()) {
+    want.id = route->id;
+    return want;
+  }
+  if (!packet_net_->connected(compute, membrick)) {
+    packet_net_->connect(compute, membrick, want.fiber_length_m);
+  }
+  want.id = hw::CircuitId{next_packet_id_++};
+  packet_.push_back(PacketLink{want.id, compute, membrick});
+  return want;
+}
+
+void RemoteMemoryFabric::release_if_unused(hw::CircuitId id) {
+  if (std::any_of(attachments_.begin(), attachments_.end(),
+                  [&](const Attachment& a) { return a.circuit == id; })) {
+    return;
+  }
+  if (const ElectricalLink* link = find_electrical(id); link != nullptr) {
+    for (std::size_t l = 0; l < link->lanes(); ++l) {
+      rack_.brick(link->a).port(link->a_ports[l].value).connected = false;
+      rack_.brick(link->b).port(link->b_ports[l].value).connected = false;
+    }
+    std::erase_if(electrical_, [&](const ElectricalLink& l) { return l.id == id; });
+  } else if (find_packet(id) != nullptr) {
+    std::erase_if(packet_, [&](const PacketLink& l) { return l.id == id; });
+  } else {
+    tear_optical(id);
+  }
+  circuit_busy_until_.erase(id.value);
+}
+
+bool RemoteMemoryFabric::tear_optical(hw::CircuitId lane) {
+  // Single-lane links have no bond record: the lane is the whole link.
+  std::vector<hw::CircuitId> lanes{lane};
+  const auto bond = std::find_if(bonds_.begin(), bonds_.end(), [&](const OpticalBond& b) {
+    return std::find(b.all.begin(), b.all.end(), lane) != b.all.end();
+  });
+  if (bond != bonds_.end()) {
+    lanes = std::move(bond->all);
+    bonds_.erase(bond);
+  }
+  bool any = false;
+  for (hw::CircuitId id : lanes) {
+    const optics::Circuit* live = circuits_.find_ref(id);
+    if (live == nullptr) continue;
+    rack_.brick(live->a.brick).port(live->a.port.value).connected = false;
+    rack_.brick(live->b.brick).port(live->b.port.value).connected = false;
+    circuits_.teardown(id);
+    circuit_busy_until_.erase(id.value);
+    any = true;
+  }
+  return any;
+}
+
 std::optional<Attachment> RemoteMemoryFabric::attach_impl(const AttachRequest& request,
                                                           sim::Time now) {
   auto& compute = rack_.compute_brick(request.compute);
@@ -179,133 +353,37 @@ std::optional<Attachment> RemoteMemoryFabric::attach_impl(const AttachRequest& r
     return std::nullopt;
   }
 
-  const bool electrical =
-      request.prefer_electrical_intra_tray && same_tray(request.compute, request.membrick);
-
-  // Existing circuit between the pair can be shared by multiple segments;
-  // otherwise wire a fresh one.
-  hw::CircuitId circuit_id;
-  LinkMedium medium = electrical ? LinkMedium::kElectrical : LinkMedium::kOptical;
-  std::size_t lanes = std::max<std::size_t>(1, request.lanes);
-  std::size_t hops = request.switch_hops;
-  double fiber_m = request.fiber_length_m;
-  for (const auto& a : attachments_) {
-    if (a.compute == request.compute && a.membrick == request.membrick) {
-      circuit_id = a.circuit;
-      medium = a.medium;
-      lanes = a.lanes;
-      hops = a.switch_hops;
-      fiber_m = a.fiber_length_m;
-      break;
-    }
-  }
-
-  // Packet-substrate fallback (Section III): when the system runs low on
-  // physical circuit ports, the orchestrator programs packet-switch
-  // lookup tables instead of a dedicated circuit.
-  auto packet_fallback = [&]() -> bool {
-    if (!request.allow_packet_fallback || packet_net_ == nullptr) return false;
-    if (!packet_net_->has_brick(request.compute) || !packet_net_->has_brick(request.membrick)) {
-      return false;
-    }
-    for (const auto& link : packet_) {
-      if ((link.a == request.compute && link.b == request.membrick) ||
-          (link.a == request.membrick && link.b == request.compute)) {
-        circuit_id = link.id;
-        medium = LinkMedium::kPacket;
-        return true;
-      }
-    }
-    if (!packet_net_->connected(request.compute, request.membrick)) {
-      packet_net_->connect(request.compute, request.membrick, request.fiber_length_m);
-    }
-    circuit_id = hw::CircuitId{next_packet_id_++};
-    packet_.push_back(PacketLink{circuit_id, request.compute, request.membrick});
-    medium = LinkMedium::kPacket;
-    return true;
-  };
-
-  hw::PortId first_out_port{0};
-  if (!circuit_id.valid()) {
-    // Enough free transceiver ports on both bricks for every lane?
-    if (compute.free_port_count(true) < lanes) {
-      last_error_ = AttachError::kNoComputePort;
-      if (!packet_fallback()) return std::nullopt;
-    } else if (membrick.free_port_count(true) < lanes) {
-      last_error_ = AttachError::kNoMemoryPort;
-      if (!packet_fallback()) return std::nullopt;
-    }
-
-    if (!circuit_id.valid()) {  // not in packet fallback
-      if (electrical) {
-        // Tray backplane cross-connect: no optical switch ports involved;
-        // bond `lanes` backplane lanes.
-        ElectricalLink link;
-        link.id = hw::CircuitId{next_electrical_id_++};
-        link.a = request.compute;
-        link.b = request.membrick;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          auto* cp = compute.find_free_port(true);
-          auto* mp = membrick.find_free_port(true);
-          cp->connected = true;
-          mp->connected = true;
-          link.a_ports.push_back(cp->id);
-          link.b_ports.push_back(mp->id);
-        }
-        first_out_port = link.a_ports.front();
-        circuit_id = link.id;
-        electrical_.push_back(std::move(link));
-      } else {
-        // One optical circuit per lane; all bonded under the primary id.
-        if (circuits_.optical_switch().free_ports() < 2 * request.switch_hops * lanes) {
-          last_error_ = AttachError::kNoSwitchPorts;
-          if (!packet_fallback()) return std::nullopt;
-        }
-        if (!circuit_id.valid()) {
-          OpticalBond bond;
-          std::vector<std::pair<hw::TransceiverPort*, hw::TransceiverPort*>> taken;
-          for (std::size_t l = 0; l < lanes; ++l) {
-            auto* cp = compute.find_free_port(true);
-            auto* mp = membrick.find_free_port(true);
-            cp->connected = true;
-            mp->connected = true;
-            taken.emplace_back(cp, mp);
-            optics::CircuitRequest creq;
-            creq.a = optics::CircuitEndpoint{request.compute, cp->id, -3.7, 1.2};
-            creq.b = optics::CircuitEndpoint{request.membrick, mp->id, -3.7, 1.2};
-            creq.hops = request.switch_hops;
-            creq.fiber_length_m = request.fiber_length_m;
-            auto circuit = circuits_.establish(creq);
-            if (!circuit) {
-              // Roll back everything wired so far.
-              for (auto& [c, m] : taken) {
-                c->connected = false;
-                m->connected = false;
-              }
-              for (hw::CircuitId id : bond.all) circuits_.teardown(id);
-              last_error_ = AttachError::kNoSwitchPorts;
-              if (!packet_fallback()) return std::nullopt;
-              bond.all.clear();
-              break;
-            }
-            bond.all.push_back(circuit->id);
-          }
-          if (!bond.all.empty()) {
-            bond.primary = bond.all.front();
-            circuit_id = bond.primary;
-            first_out_port = taken.front().first->id;
-            if (bond.all.size() > 1) bonds_.push_back(std::move(bond));
-          }
-        }
+  // Reuse the pair's link, else wire the full bond (a short optical bond
+  // is rolled back), else fall back to the packet substrate if allowed.
+  Link want;
+  want.lanes = std::max<std::size_t>(1, request.lanes);
+  want.switch_hops = request.switch_hops;
+  want.fiber_length_m = request.fiber_length_m;
+  std::optional<Link> link = pair_link(request.compute, request.membrick);
+  if (!link && ports_free(request.compute, request.membrick, want.lanes)) {
+    if (request.prefer_electrical_intra_tray && same_tray(request.compute, request.membrick)) {
+      link = wire_electrical(request.compute, request.membrick, want);
+    } else if (circuits_.optical_switch().free_ports() < 2 * want.switch_hops * want.lanes) {
+      last_error_ = AttachError::kNoSwitchPorts;
+    } else {
+      link = wire_optical(request.compute, request.membrick, want);
+      if (link && link->lanes < want.lanes) {
+        release_if_unused(link->id);
+        link.reset();
       }
     }
   }
+  if (!link && request.allow_packet_fallback) {
+    link = wire_packet(request.compute, request.membrick, want);
+  }
+  if (!link) return std::nullopt;
 
   auto segment = membrick.allocate(request.bytes, request.compute);
   if (!segment) {
     // largest_free_extent was checked above; reaching here means a race in
-    // caller logic. Keep the invariant: undo the circuit if fresh.
+    // caller logic. Keep the invariant: undo the link if fresh.
     last_error_ = AttachError::kNoMemory;
+    release_if_unused(link->id);
     return std::nullopt;
   }
 
@@ -315,8 +393,8 @@ std::optional<Attachment> RemoteMemoryFabric::attach_impl(const AttachRequest& r
   entry.size = request.bytes;
   entry.dest_brick = request.membrick;
   entry.dest_base = segment->base;
-  entry.out_port = first_out_port;
-  entry.circuit = circuit_id;
+  entry.out_port = link->out_port;
+  entry.circuit = link->id;
   compute.tgl().rmst().insert(entry);
 
   Attachment a;
@@ -325,27 +403,19 @@ std::optional<Attachment> RemoteMemoryFabric::attach_impl(const AttachRequest& r
   a.segment = segment->id;
   a.compute_base = entry.base;
   a.size = request.bytes;
-  a.circuit = circuit_id;
-  a.medium = medium;
-  a.lanes = medium == LinkMedium::kPacket ? 1 : lanes;
-  a.switch_hops = hops;
-  a.fiber_length_m = fiber_m;
-  a.established_at = now;
+  ride(a, *link, now);
   attachments_.push_back(a);
   return a;
 }
 
 bool RemoteMemoryFabric::detach(hw::BrickId compute, hw::SegmentId segment) {
-  auto it = std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
-    return a.compute == compute && a.segment == segment;
-  });
+  const auto it = find_record(compute, segment);
   if (it == attachments_.end()) return false;
 
   const Attachment removed = *it;
   attachments_.erase(it);
 
-  auto& cb = rack_.compute_brick(removed.compute);
-  cb.tgl().rmst().remove(segment);
+  rack_.compute_brick(removed.compute).tgl().rmst().remove(segment);
   rack_.memory_brick(removed.membrick).release(segment);
 
   if (telemetry_ != nullptr) {
@@ -354,65 +424,15 @@ bool RemoteMemoryFabric::detach(hw::BrickId compute, hw::SegmentId segment) {
     rmst_mapped_metric_->add(-static_cast<double>(removed.size));
   }
 
-  release_circuit_if_unused(removed);
+  release_if_unused(removed.circuit);
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return true;
 }
 
-void RemoteMemoryFabric::release_circuit_if_unused(const Attachment& removed) {
-  // Tear the circuit down when no other attachment rides it.
-  const bool circuit_still_used =
-      std::any_of(attachments_.begin(), attachments_.end(),
-                  [&](const Attachment& a) { return a.circuit == removed.circuit; });
-  if (circuit_still_used) return;
-  if (removed.medium == LinkMedium::kPacket) {
-    packet_.erase(std::remove_if(packet_.begin(), packet_.end(),
-                                 [&](const PacketLink& l) { return l.id == removed.circuit; }),
-                  packet_.end());
-    circuit_busy_until_.erase(removed.circuit.value);
-  } else if (removed.medium == LinkMedium::kElectrical) {
-    const ElectricalLink* link = find_electrical(removed.circuit);
-    if (link != nullptr) {
-      for (std::size_t l = 0; l < link->lanes(); ++l) {
-        rack_.brick(link->a).port(link->a_ports[l].value).connected = false;
-        rack_.brick(link->b).port(link->b_ports[l].value).connected = false;
-      }
-      electrical_.erase(
-          std::remove_if(electrical_.begin(), electrical_.end(),
-                         [&](const ElectricalLink& l) { return l.id == removed.circuit; }),
-          electrical_.end());
-      circuit_busy_until_.erase(removed.circuit.value);
-    }
-  } else {
-    // Optical: tear down every lane of the bond (single-lane links have
-    // no bond record and tear down just the primary circuit).
-    std::vector<hw::CircuitId> to_tear{removed.circuit};
-    for (auto bit = bonds_.begin(); bit != bonds_.end(); ++bit) {
-      if (bit->primary == removed.circuit) {
-        to_tear = bit->all;
-        bonds_.erase(bit);
-        break;
-      }
-    }
-    for (hw::CircuitId id : to_tear) {
-      auto circuit = circuits_.find(id);
-      if (circuit) {
-        rack_.brick(circuit->a.brick).port(circuit->a.port.value).connected = false;
-        rack_.brick(circuit->b.brick).port(circuit->b.port.value).connected = false;
-        circuits_.teardown(id);
-      }
-      circuit_busy_until_.erase(id.value);
-    }
-  }
-}
-
 std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrate_attachment(
     hw::SegmentId segment, hw::BrickId from, hw::BrickId to, sim::Time now) {
-  auto it = std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
-    return a.compute == from && a.segment == segment;
-  });
+  const auto it = find_record(from, segment);
   if (it == attachments_.end()) return std::nullopt;
-  const Attachment old = *it;
 
   auto& new_compute = rack_.compute_brick(to);
   if (new_compute.tgl().rmst().full()) {
@@ -422,98 +442,42 @@ std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrat
 
   // Wire (or reuse) connectivity between the destination brick and the
   // serving dMEMBRICK before touching the source side, so failure leaves
-  // the old attachment intact.
-  hw::CircuitId new_circuit_id;
-  LinkMedium new_medium = LinkMedium::kOptical;
-  for (const auto& a : attachments_) {
-    if (a.compute == to && a.membrick == old.membrick) {
-      new_circuit_id = a.circuit;
-      new_medium = a.medium;
-      break;
-    }
-  }
-  bool wired_fresh = false;
-  if (!new_circuit_id.valid()) {
-    hw::TransceiverPort* cport = new_compute.find_free_port(/*circuit_based=*/true);
-    if (cport == nullptr) {
-      last_error_ = AttachError::kNoComputePort;
-      return std::nullopt;
-    }
-    hw::TransceiverPort* mport =
-        rack_.memory_brick(old.membrick).find_free_port(/*circuit_based=*/true);
-    if (mport == nullptr) {
-      last_error_ = AttachError::kNoMemoryPort;
-      return std::nullopt;
-    }
-    if (same_tray(to, old.membrick)) {
-      new_medium = LinkMedium::kElectrical;
-      new_circuit_id = hw::CircuitId{next_electrical_id_++};
-      electrical_.push_back(
-          ElectricalLink{new_circuit_id, to, old.membrick, {cport->id}, {mport->id}});
-    } else {
-      optics::CircuitRequest creq;
-      creq.a = optics::CircuitEndpoint{to, cport->id, -3.7, 1.2};
-      creq.b = optics::CircuitEndpoint{old.membrick, mport->id, -3.7, 1.2};
-      auto circuit = circuits_.establish(creq);
-      if (!circuit) {
-        last_error_ = AttachError::kNoSwitchPorts;
-        return std::nullopt;
-      }
-      new_medium = LinkMedium::kOptical;
-      new_circuit_id = circuit->id;
-    }
-    cport->connected = true;
-    mport->connected = true;
-    wired_fresh = true;
+  // the old attachment intact. A fresh link is one lane on the record's
+  // hop count and fibre run.
+  std::optional<Link> link = pair_link(to, it->membrick);
+  const bool wired_fresh = !link;
+  if (!link) {
+    if (!ports_free(to, it->membrick, 1)) return std::nullopt;
+    Link want = link_of(*it);
+    want.lanes = 1;
+    link = same_tray(to, it->membrick) ? wire_electrical(to, it->membrick, want)
+                                       : wire_optical(to, it->membrick, want);
+    if (!link) return std::nullopt;
   }
 
   // Move the RMST entry: remove at the source, install at the destination.
-  auto& old_compute = rack_.compute_brick(from);
-  const auto old_entry = old_compute.tgl().rmst().find_segment(segment);
-  old_compute.tgl().rmst().remove(segment);
+  auto& old_rmst = rack_.compute_brick(from).tgl().rmst();
+  const auto old_entry = old_rmst.find_segment(segment);
+  old_rmst.remove(segment);
 
   hw::RmstEntry entry;
   entry.segment = segment;
-  entry.base = new_compute.find_remote_window(old.size);
-  entry.size = old.size;
-  entry.dest_brick = old.membrick;
+  entry.base = new_compute.find_remote_window(it->size);
+  entry.size = it->size;
+  entry.dest_brick = it->membrick;
   entry.dest_base = old_entry ? old_entry->dest_base : 0;
-  entry.circuit = new_circuit_id;
+  entry.out_port = link->out_port;
+  entry.circuit = link->id;
   new_compute.tgl().rmst().insert(entry);
 
-  rack_.memory_brick(old.membrick).reassign(segment, to);
+  rack_.memory_brick(it->membrick).reassign(segment, to);
 
-  // Update the attachment record in place.
+  const hw::CircuitId old_circuit = it->circuit;
   it->compute = to;
   it->compute_base = entry.base;
-  it->circuit = new_circuit_id;
-  it->medium = new_medium;
-  it->established_at = now;
+  ride(*it, *link, now);
   const Attachment updated = *it;
-
-  // Tear down the source-side circuit if this was its last rider.
-  const bool old_circuit_used =
-      std::any_of(attachments_.begin(), attachments_.end(),
-                  [&](const Attachment& a) { return a.circuit == old.circuit; });
-  if (!old_circuit_used) {
-    if (old.medium == LinkMedium::kElectrical) {
-      if (const ElectricalLink* link = find_electrical(old.circuit); link != nullptr) {
-        for (std::size_t l = 0; l < link->lanes(); ++l) {
-          rack_.brick(link->a).port(link->a_ports[l].value).connected = false;
-          rack_.brick(link->b).port(link->b_ports[l].value).connected = false;
-        }
-        electrical_.erase(
-            std::remove_if(electrical_.begin(), electrical_.end(),
-                           [&](const ElectricalLink& l) { return l.id == old.circuit; }),
-            electrical_.end());
-      }
-    } else if (auto circuit = circuits_.find(old.circuit)) {
-      rack_.brick(circuit->a.brick).port(circuit->a.port.value).connected = false;
-      rack_.brick(circuit->b.brick).port(circuit->b.port.value).connected = false;
-      circuits_.teardown(old.circuit);
-    }
-    circuit_busy_until_.erase(old.circuit.value);
-  }
+  release_if_unused(old_circuit);
 
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return MigratedAttachment{updated, wired_fresh};
@@ -522,92 +486,37 @@ std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrat
 bool RemoteMemoryFabric::fail_circuit(hw::CircuitId circuit) {
   // Only the optical substrate is subject to this fault model (fibres and
   // beam-steering cross-connects); the tray backplane is passive copper.
-  std::vector<hw::CircuitId> lanes{circuit};
-  for (auto bit = bonds_.begin(); bit != bonds_.end(); ++bit) {
-    if (bit->primary == circuit) {
-      lanes = bit->all;
-      bonds_.erase(bit);
-      break;
-    }
-  }
-  bool any = false;
-  for (hw::CircuitId id : lanes) {
-    auto live = circuits_.find(id);
-    if (!live) continue;
-    rack_.brick(live->a.brick).port(live->a.port.value).connected = false;
-    rack_.brick(live->b.brick).port(live->b.port.value).connected = false;
-    circuits_.teardown(id);
-    circuit_busy_until_.erase(id.value);
-    any = true;
-  }
+  const bool any = tear_optical(circuit);
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return any;
 }
 
 std::optional<Attachment> RemoteMemoryFabric::repair(hw::BrickId compute,
                                                      hw::SegmentId segment, sim::Time now) {
-  auto it = std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
-    return a.compute == compute && a.segment == segment;
-  });
+  const auto it = find_record(compute, segment);
   if (it == attachments_.end()) return std::nullopt;
-  if (it->medium != LinkMedium::kOptical) return *it;      // nothing to repair
-  if (circuits_.find(it->circuit).has_value()) return *it;  // circuit is healthy
-
-  auto& cb = rack_.compute_brick(compute);
-  auto& mb = rack_.memory_brick(it->membrick);
+  if (it->medium != LinkMedium::kOptical) return *it;          // nothing to repair
+  if (circuits_.find_ref(it->circuit) != nullptr) return *it;  // circuit is healthy
 
   // Rebuild the exact pre-failure link: same hop count, same fibre run,
   // re-bonding up to the original lane count (degrading gracefully to
   // fewer lanes when ports ran scarce in the meantime, never below one).
-  const std::size_t want_lanes = std::max<std::size_t>(1, it->lanes);
-  OpticalBond bond;
-  std::vector<std::pair<hw::TransceiverPort*, hw::TransceiverPort*>> taken;
-  for (std::size_t l = 0; l < want_lanes; ++l) {
-    auto* cport = cb.find_free_port(/*circuit_based=*/true);
-    auto* mport = mb.find_free_port(/*circuit_based=*/true);
-    if (cport == nullptr || mport == nullptr) {
-      last_error_ =
-          cport == nullptr ? AttachError::kNoComputePort : AttachError::kNoMemoryPort;
-      break;
-    }
-    optics::CircuitRequest creq;
-    creq.a = optics::CircuitEndpoint{compute, cport->id, -3.7, 1.2};
-    creq.b = optics::CircuitEndpoint{it->membrick, mport->id, -3.7, 1.2};
-    creq.hops = it->switch_hops;
-    creq.fiber_length_m = it->fiber_length_m;
-    auto circuit = circuits_.establish(creq);
-    if (!circuit) {
-      last_error_ = AttachError::kNoSwitchPorts;
-      break;
-    }
-    cport->connected = true;
-    mport->connected = true;
-    taken.emplace_back(cport, mport);
-    bond.all.push_back(circuit->id);
-  }
-  if (bond.all.empty()) return std::nullopt;  // could not wire even one lane
-  bond.primary = bond.all.front();
-  if (bond.all.size() > 1) bonds_.push_back(bond);
+  const auto link = wire_optical(compute, it->membrick, link_of(*it));
+  if (!link) return std::nullopt;  // could not wire even one lane
 
   // Heal every attachment (and RMST entry) that rode the dead circuit. The
   // compute-side window must come back byte-identical: only the link
   // record changes, never base or size.
   const hw::CircuitId dead = it->circuit;
-  const std::size_t healed_lanes = bond.all.size();
   for (auto& a : attachments_) {
     if (a.circuit != dead) continue;
-    a.circuit = bond.primary;
-    a.lanes = healed_lanes;
-    a.established_at = now;
+    ride(a, *link, now);
     auto& rmst = rack_.compute_brick(a.compute).tgl().rmst();
-    auto entry = rmst.find_segment(a.segment);
-    if (entry) {
-      hw::RmstEntry updated = *entry;
-      updated.circuit = bond.primary;
-      updated.out_port = taken.front().first->id;
-      rmst.remove(a.segment);
-      rmst.insert(updated);
-      DREDBOX_ENSURE(updated.base == a.compute_base && updated.size == a.size,
+    if (auto entry = rmst.find_segment(a.segment)) {
+      entry->circuit = link->id;
+      entry->out_port = link->out_port;
+      repoint(rmst, a.segment, *entry);
+      DREDBOX_ENSURE(entry->base == a.compute_base && entry->size == a.size,
                      "repair changed the RMST window of segment " + a.segment.to_string());
     }
   }
@@ -617,25 +526,11 @@ std::optional<Attachment> RemoteMemoryFabric::repair(hw::BrickId compute,
 
 void RemoteMemoryFabric::on_circuits_torn(const std::vector<optics::Circuit>& torn) {
   for (const auto& c : torn) {
+    // The manager already dropped `c`; tear_optical takes its bond siblings.
     rack_.brick(c.a.brick).port(c.a.port.value).connected = false;
     rack_.brick(c.b.brick).port(c.b.port.value).connected = false;
     circuit_busy_until_.erase(c.id.value);
-    // A bonded link dies as a whole: tear the surviving sibling lanes too.
-    for (auto bit = bonds_.begin(); bit != bonds_.end(); ++bit) {
-      if (std::find(bit->all.begin(), bit->all.end(), c.id) == bit->all.end()) continue;
-      const OpticalBond bond = *bit;
-      bonds_.erase(bit);
-      for (hw::CircuitId id : bond.all) {
-        if (id == c.id) continue;
-        if (auto live = circuits_.find(id)) {
-          rack_.brick(live->a.brick).port(live->a.port.value).connected = false;
-          rack_.brick(live->b.brick).port(live->b.port.value).connected = false;
-          circuits_.teardown(id);
-        }
-        circuit_busy_until_.erase(id.value);
-      }
-      break;
-    }
+    tear_optical(c.id);
   }
   DREDBOX_AUDIT_INVARIANT(check_invariants());
 }
@@ -643,50 +538,23 @@ void RemoteMemoryFabric::on_circuits_torn(const std::vector<optics::Circuit>& to
 std::optional<Attachment> RemoteMemoryFabric::failover_to_packet(hw::BrickId compute,
                                                                  hw::SegmentId segment,
                                                                  sim::Time now) {
-  auto it = std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
-    return a.compute == compute && a.segment == segment;
-  });
+  const auto it = find_record(compute, segment);
   if (it == attachments_.end()) return std::nullopt;
   if (it->medium == LinkMedium::kPacket) return *it;  // already failed over
-  if (packet_net_ == nullptr || !packet_net_->has_brick(compute) ||
-      !packet_net_->has_brick(it->membrick)) {
-    return std::nullopt;
-  }
-
-  // Reuse the pair's existing packet link or program a fresh lookup-table
-  // path (the Section III control-plane role).
-  hw::CircuitId packet_id;
-  for (const auto& link : packet_) {
-    if ((link.a == compute && link.b == it->membrick) ||
-        (link.a == it->membrick && link.b == compute)) {
-      packet_id = link.id;
-      break;
-    }
-  }
-  if (!packet_id.valid()) {
-    if (!packet_net_->connected(compute, it->membrick)) {
-      packet_net_->connect(compute, it->membrick, it->fiber_length_m);
-    }
-    packet_id = hw::CircuitId{next_packet_id_++};
-    packet_.push_back(PacketLink{packet_id, compute, it->membrick});
-  }
+  const auto link = wire_packet(compute, it->membrick, link_of(*it));
+  if (!link) return std::nullopt;
 
   // Re-point the RMST entry; window and backing bytes stay untouched.
   auto& rmst = rack_.compute_brick(compute).tgl().rmst();
   if (auto entry = rmst.find_segment(segment)) {
-    hw::RmstEntry updated = *entry;
-    updated.circuit = packet_id;
-    rmst.remove(segment);
-    rmst.insert(updated);
+    entry->circuit = link->id;
+    repoint(rmst, segment, *entry);
   }
 
-  const Attachment old = *it;
-  it->circuit = packet_id;
-  it->medium = LinkMedium::kPacket;
-  it->lanes = 1;
-  it->established_at = now;
+  const hw::CircuitId old_circuit = it->circuit;
+  ride(*it, *link, now);
   const Attachment updated = *it;
-  release_circuit_if_unused(old);
+  release_if_unused(old_circuit);
   if (packet_failovers_metric_ != nullptr) packet_failovers_metric_->add();
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return updated;
@@ -696,13 +564,10 @@ std::optional<Attachment> RemoteMemoryFabric::relocate_segment(hw::BrickId compu
                                                                hw::SegmentId old_segment,
                                                                hw::BrickId new_membrick,
                                                                sim::Time now) {
-  auto it = std::find_if(attachments_.begin(), attachments_.end(), [&](const Attachment& a) {
-    return a.compute == compute && a.segment == old_segment;
-  });
+  const auto it = find_record(compute, old_segment);
   if (it == attachments_.end()) return std::nullopt;
   if (it->membrick == new_membrick) return *it;  // already there
 
-  auto& cb = rack_.compute_brick(compute);
   auto& new_mb = rack_.memory_brick(new_membrick);
   if (new_mb.failed()) {
     last_error_ = AttachError::kBrickFailed;
@@ -715,72 +580,19 @@ std::optional<Attachment> RemoteMemoryFabric::relocate_segment(hw::BrickId compu
 
   // Wire (or reuse) connectivity to the new dMEMBRICK before touching the
   // old side, so failure leaves the attachment intact. Preference order:
-  // shared pair link, electrical intra-tray, optical, packet fallback.
-  hw::CircuitId new_circuit;
-  LinkMedium new_medium = LinkMedium::kOptical;
-  std::size_t new_lanes = 1;
-  hw::PortId new_out_port{0};
-  bool fresh_port = false;
-  for (const auto& a : attachments_) {
-    if (a.compute == compute && a.membrick == new_membrick) {
-      new_circuit = a.circuit;
-      new_medium = a.medium;
-      new_lanes = a.lanes;
-      break;
-    }
+  // shared pair link, one electrical lane within a tray (even when the
+  // attachment was optical by preference), one optical lane, packet.
+  Link want = link_of(*it);
+  want.lanes = 1;
+  std::optional<Link> link = pair_link(compute, new_membrick);
+  if (!link && ports_free(compute, new_membrick, 1)) {
+    link = same_tray(compute, new_membrick) ? wire_electrical(compute, new_membrick, want)
+                                            : wire_optical(compute, new_membrick, want);
   }
-  if (!new_circuit.valid()) {
-    auto* cport = cb.find_free_port(/*circuit_based=*/true);
-    auto* mport = new_mb.find_free_port(/*circuit_based=*/true);
-    if (cport != nullptr && mport != nullptr) {
-      if (same_tray(compute, new_membrick)) {
-        new_medium = LinkMedium::kElectrical;
-        new_circuit = hw::CircuitId{next_electrical_id_++};
-        electrical_.push_back(
-            ElectricalLink{new_circuit, compute, new_membrick, {cport->id}, {mport->id}});
-        cport->connected = true;
-        mport->connected = true;
-        new_out_port = cport->id;
-        fresh_port = true;
-      } else {
-        optics::CircuitRequest creq;
-        creq.a = optics::CircuitEndpoint{compute, cport->id, -3.7, 1.2};
-        creq.b = optics::CircuitEndpoint{new_membrick, mport->id, -3.7, 1.2};
-        creq.hops = it->switch_hops;
-        creq.fiber_length_m = it->fiber_length_m;
-        if (auto circuit = circuits_.establish(creq)) {
-          new_medium = LinkMedium::kOptical;
-          new_circuit = circuit->id;
-          cport->connected = true;
-          mport->connected = true;
-          new_out_port = cport->id;
-          fresh_port = true;
-        }
-      }
-    }
-    if (!new_circuit.valid()) {
-      // Circuit ports exhausted: packet substrate as the last resort.
-      if (packet_net_ == nullptr || !packet_net_->has_brick(compute) ||
-          !packet_net_->has_brick(new_membrick)) {
-        last_error_ = AttachError::kNoSwitchPorts;
-        return std::nullopt;
-      }
-      for (const auto& link : packet_) {
-        if ((link.a == compute && link.b == new_membrick) ||
-            (link.a == new_membrick && link.b == compute)) {
-          new_circuit = link.id;
-          break;
-        }
-      }
-      if (!new_circuit.valid()) {
-        if (!packet_net_->connected(compute, new_membrick)) {
-          packet_net_->connect(compute, new_membrick, it->fiber_length_m);
-        }
-        new_circuit = hw::CircuitId{next_packet_id_++};
-        packet_.push_back(PacketLink{new_circuit, compute, new_membrick});
-      }
-      new_medium = LinkMedium::kPacket;
-    }
+  if (!link) link = wire_packet(compute, new_membrick, want);
+  if (!link) {
+    last_error_ = AttachError::kNoSwitchPorts;
+    return std::nullopt;
   }
 
   // Carve the replacement segment (ids are namespaced by the carving
@@ -788,35 +600,30 @@ std::optional<Attachment> RemoteMemoryFabric::relocate_segment(hw::BrickId compu
   auto new_seg = new_mb.allocate(it->size, compute);
   if (!new_seg) {
     last_error_ = AttachError::kNoMemory;
+    release_if_unused(link->id);
     return std::nullopt;
   }
 
   // Re-point the RMST entry, keeping the compute-side window identical.
-  auto& rmst = cb.tgl().rmst();
-  const auto old_entry = rmst.find_segment(old_segment);
   hw::RmstEntry entry;
   entry.segment = new_seg->id;
   entry.base = it->compute_base;
   entry.size = it->size;
   entry.dest_brick = new_membrick;
   entry.dest_base = new_seg->base;
-  entry.out_port = fresh_port || !old_entry ? new_out_port : old_entry->out_port;
-  entry.circuit = new_circuit;
-  rmst.remove(old_segment);
-  rmst.insert(entry);
+  entry.out_port = link->out_port;
+  entry.circuit = link->id;
+  repoint(rack_.compute_brick(compute).tgl().rmst(), old_segment, entry);
 
   const Attachment old = *it;
   it->membrick = new_membrick;
   it->segment = new_seg->id;
-  it->circuit = new_circuit;
-  it->medium = new_medium;
-  it->lanes = new_medium == LinkMedium::kPacket ? 1 : new_lanes;
-  it->established_at = now;
+  ride(*it, *link, now);
   const Attachment result = *it;
 
   // Release the old backing bytes and the old link when last rider.
   rack_.memory_brick(old.membrick).release(old_segment);
-  release_circuit_if_unused(old);
+  release_if_unused(old.circuit);
   if (relocations_metric_ != nullptr) relocations_metric_->add();
   DREDBOX_ENSURE(result.compute_base == old.compute_base && result.size == old.size,
                  "relocation changed the compute-side window");
@@ -836,8 +643,7 @@ bool RemoteMemoryFabric::corrupt_rmst(hw::BrickId compute, std::size_t ordinal) 
     // A modelled SEU in the PL's segment comparators: the destination
     // offset picks up flipped bits, scattering accesses over wrong bytes.
     mangled.dest_base ^= 0x5a5a000ull;
-    rmst.remove(a.segment);
-    rmst.insert(mangled);
+    repoint(rmst, a.segment, mangled);
     if (rmst_corruptions_metric_ != nullptr) rmst_corruptions_metric_->add();
     return true;
   }
@@ -860,8 +666,7 @@ std::size_t RemoteMemoryFabric::scrub_rmst(hw::BrickId compute) {
     fixed.dest_base = backing->base;
     fixed.out_port = entry ? entry->out_port : hw::PortId{0};
     fixed.circuit = a.circuit;
-    rmst.remove(a.segment);
-    rmst.insert(fixed);
+    repoint(rmst, a.segment, fixed);
     ++rewritten;
   }
   if (rewritten > 0 && rmst_scrubs_metric_ != nullptr) rmst_scrubs_metric_->add();
@@ -1213,20 +1018,57 @@ void RemoteMemoryFabric::check_invariants() const {
                       "dMEMBRICK segment " + a.segment.to_string() +
                           " disagrees with the attachment record");
 
-    // The link record matches the medium. Optical circuits may be absent
-    // (failed); electrical and packet links are fabric-owned and must exist.
+    // The link record matches the medium and the attachment's lane count.
+    // Optical circuits may be absent (failed, awaiting repair); electrical
+    // and packet links are fabric-owned and must exist.
+    std::size_t link_lanes = a.lanes;
     switch (a.medium) {
-      case LinkMedium::kElectrical:
-        DREDBOX_INVARIANT(find_electrical(a.circuit) != nullptr,
+      case LinkMedium::kElectrical: {
+        const ElectricalLink* link = find_electrical(a.circuit);
+        DREDBOX_INVARIANT(link != nullptr,
                           "electrical attachment without a backplane link record");
+        link_lanes = link->lanes();
         break;
+      }
       case LinkMedium::kPacket:
         DREDBOX_INVARIANT(find_packet(a.circuit) != nullptr,
                           "packet attachment without a lookup-table link record");
+        link_lanes = 1;
         break;
       case LinkMedium::kOptical:
+        if (circuits_.find_ref(a.circuit) == nullptr) break;
+        link_lanes = 1;
+        for (const auto& bond : bonds_) {
+          if (bond.primary == a.circuit) link_lanes = bond.all.size();
+        }
         break;
     }
+    DREDBOX_INVARIANT(a.lanes == link_lanes,
+                      "segment " + a.segment.to_string() + " records " +
+                          std::to_string(a.lanes) + " lanes on a " +
+                          std::to_string(link_lanes) + "-lane link");
+  }
+
+  // No link record or cable-busy entry outlives its last rider: anything
+  // else is a leaked circuit, switch port or transceiver port.
+  const auto ridden = [&](hw::CircuitId id) {
+    return std::any_of(attachments_.begin(), attachments_.end(),
+                       [&](const Attachment& a) { return a.circuit == id; });
+  };
+  for (const auto& link : electrical_) {
+    DREDBOX_INVARIANT(ridden(link.id), "electrical link " + link.id.to_string() + " leaked");
+  }
+  for (const auto& bond : bonds_) {
+    DREDBOX_INVARIANT(ridden(bond.primary),
+                      "optical bond " + bond.primary.to_string() + " leaked");
+  }
+  for (const auto& link : packet_) {
+    DREDBOX_INVARIANT(ridden(link.id), "packet link " + link.id.to_string() + " leaked");
+  }
+  // dredbox-lint: ignore[unordered-iteration] -- existence check only.
+  for (const auto& [id, busy] : circuit_busy_until_) {
+    DREDBOX_INVARIANT(ridden(hw::CircuitId{id}),
+                      "cable-busy record of link " + std::to_string(id) + " leaked");
   }
 
   // Fabric-owned link endpoints must still hold their transceiver ports.

@@ -38,7 +38,7 @@ struct Attachment {
   /// Parallel lanes bonded into this pair's link (Section II: multiple
   /// links "can be used to provide more aggregate bandwidth").
   std::size_t lanes = 1;
-  /// Link parameters of the original provisioning, kept so repair() can
+  /// Parameters of the link this attachment rides, kept so repair() can
   /// rebuild the exact pre-failure path (hop count and fibre run).
   std::size_t switch_hops = 1;
   double fiber_length_m = 10.0;
@@ -131,10 +131,10 @@ class RemoteMemoryFabric {
 
   // --- failure injection / repair ---
   /// Simulates a fault on an optical circuit (fibre cut, switch failure):
-  /// the cross-connects drop and the endpoint transceivers lose link.
-  /// Subsequent transactions over attachments riding it complete with
-  /// TransactionStatus::kCircuitDown. Returns false for unknown ids or
-  /// non-optical links.
+  /// the cross-connects drop and the endpoint transceivers lose link; a
+  /// bonded link dies as a whole. Subsequent transactions over attachments
+  /// riding it complete with TransactionStatus::kCircuitDown. Returns false
+  /// for unknown ids or non-optical links.
   bool fail_circuit(hw::CircuitId circuit);
 
   /// Repairs a failed attachment by wiring a fresh circuit (reusing the
@@ -213,9 +213,11 @@ class RemoteMemoryFabric {
   /// references live bricks of the right kinds, its segment is really
   /// carved on the dMEMBRICK for the attached dCOMPUBRICK, the matching
   /// RMST entry is installed at the compute side, link records agree with
-  /// the medium, and no (compute, segment) pair is attached twice.
-  /// Optical circuits are allowed to be absent (fail_circuit() models
-  /// fibre cuts; transactions then report kCircuitDown). Throws
+  /// the medium and the attachment's lane count, no (compute, segment)
+  /// pair is attached twice, and no link record or cable-busy entry
+  /// outlives its last rider (a leak). Optical circuits are allowed to be
+  /// absent (fail_circuit() models fibre cuts; transactions then report
+  /// kCircuitDown, and the dead circuit still counts as ridden). Throws
   /// ContractViolation on the first broken invariant. Wired into every
   /// control-plane mutation when built with -DDREDBOX_AUDIT=ON; callable
   /// directly in any build.
@@ -286,11 +288,40 @@ class RemoteMemoryFabric {
   sim::metrics::Counter* rmst_corruptions_metric_ = nullptr;
   sim::metrics::Counter* relocations_metric_ = nullptr;
 
+  /// The link an attachment rides, as the wiring helpers return it and as
+  /// attachment records copy it (ride()).
+  struct Link {
+    hw::CircuitId id;
+    LinkMedium medium = LinkMedium::kOptical;
+    std::size_t lanes = 1;
+    std::size_t switch_hops = 1;
+    double fiber_length_m = 10.0;
+    hw::PortId out_port{0};  // compute-side port of lane 0 (0: reused / packet)
+  };
+  static Link link_of(const Attachment& a);
+  static void ride(Attachment& a, const Link& link, sim::Time now);
+
   std::optional<Attachment> attach_impl(const AttachRequest& request, sim::Time now);
-  /// Tears the link behind `removed` when no surviving attachment rides it
-  /// (all three media; optical bonds die whole). Shared by detach /
-  /// relocate / failover.
-  void release_circuit_if_unused(const Attachment& removed);
+  std::vector<Attachment>::iterator find_record(hw::BrickId compute, hw::SegmentId segment);
+  /// The link an existing attachment of the pair rides (shared by every
+  /// segment between the two bricks), if any.
+  std::optional<Link> pair_link(hw::BrickId compute, hw::BrickId membrick) const;
+  /// True when both bricks have `lanes` free circuit ports; sets
+  /// last_error_ otherwise.
+  bool ports_free(hw::BrickId compute, hw::BrickId membrick, std::size_t lanes);
+  // Wiring: `want` gives lanes, hop count and fibre run. The electrical
+  // path needs ports_free() first; the optical path bonds up to want.lanes
+  // circuits and returns how many it got (nullopt for none); the packet
+  // path reuses or programs a lookup-table route.
+  Link wire_electrical(hw::BrickId compute, hw::BrickId membrick, Link want);
+  std::optional<Link> wire_optical(hw::BrickId compute, hw::BrickId membrick, Link want);
+  std::optional<Link> wire_packet(hw::BrickId compute, hw::BrickId membrick, Link want);
+  /// Tears link `id` down when no attachment rides it, whatever its medium.
+  void release_if_unused(hw::CircuitId id);
+  /// Tears every live lane of the optical link `lane` belongs to (a bond
+  /// dies whole), freeing brick ports and cable-busy records. Returns
+  /// whether any lane was still live.
+  bool tear_optical(hw::CircuitId lane);
   Transaction execute(TransactionKind kind, hw::BrickId compute, std::uint64_t address,
                       std::uint32_t bytes, sim::Time when, const sim::TraceContext& parent);
   Transaction execute_path(TransactionKind kind, hw::BrickId compute, std::uint64_t address,

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "memsys/remote_memory.hpp"
+#include "net/packet_network.hpp"
 #include "sim/random.hpp"
 
 namespace dredbox::memsys {
@@ -9,10 +12,12 @@ namespace {
 using sim::Time;
 constexpr std::uint64_t kGiB = 1ull << 30;
 
-/// Property suite: after ANY interleaving of attach/detach/read across
-/// multiple bricks and media, the fabric's bookkeeping stays consistent:
-/// no leaked switch ports, no leaked brick ports, segment bytes match
-/// attachment bytes, and every attachment remains readable.
+/// Property suite: after ANY interleaving of attach (1-3 lanes), detach,
+/// migration, packet failover, relocation, circuit failure + repair and
+/// reads across multiple bricks and media, the fabric's bookkeeping stays
+/// consistent: no leaked switch ports, brick ports or link records,
+/// segment bytes match attachment bytes, and every attachment remains
+/// readable.
 class FabricPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   FabricPropertyTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
@@ -27,6 +32,9 @@ class FabricPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     membricks_.push_back(rack_.add_memory_brick(tray_a, mc).id());
     membricks_.push_back(rack_.add_memory_brick(tray_b, mc).id());
     membricks_.push_back(rack_.add_memory_brick(tray_b, mc).id());
+    for (hw::BrickId b : computes_) packet_net_.add_brick(b);
+    for (hw::BrickId b : membricks_) packet_net_.add_brick(b);
+    fabric_.set_packet_network(&packet_net_);
   }
 
   void check_invariants() {
@@ -56,12 +64,17 @@ class FabricPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
         clock_ += Time::us(10);
       }
     }
+
+    // (5) The fabric's own audit: no link record outlives its riders and
+    // every record's lane count is its link's.
+    ASSERT_NO_THROW(fabric_.check_invariants());
   }
 
   hw::Rack rack_;
   optics::OpticalSwitch switch_;
   optics::CircuitManager circuits_;
   RemoteMemoryFabric fabric_;
+  net::PacketNetwork packet_net_;
   std::vector<hw::BrickId> computes_;
   std::vector<hw::BrickId> membricks_;
   Time clock_ = Time::zero();
@@ -74,22 +87,57 @@ TEST_P(FabricPropertyTest, RandomInterleavingPreservesInvariants) {
     hw::SegmentId segment;
   };
   std::vector<Live> live;
+  const auto find = [&](const Live& l) {
+    const auto& all = fabric_.all_attachments();
+    return std::find_if(all.begin(), all.end(), [&](const Attachment& a) {
+      return a.compute == l.compute && a.segment == l.segment;
+    });
+  };
 
   for (int step = 0; step < 200; ++step) {
     clock_ += Time::ms(1);
-    if (live.empty() || rng.chance(0.55)) {
+    // Attach on 0-3, detach on 4-5, then one op each. Failure of attach,
+    // migration and relocation is legal (capacity/ports); invariants must
+    // hold anyway.
+    const std::int64_t op = live.empty() ? 0 : rng.uniform_int(0, 9);
+    const auto idx = static_cast<std::size_t>(
+        rng.uniform_int(0, std::max<std::int64_t>(0, static_cast<std::int64_t>(live.size()) - 1)));
+    if (op <= 3) {
       AttachRequest req;
       req.compute = computes_[static_cast<std::size_t>(rng.uniform_int(0, 1))];
       req.membrick = membricks_[static_cast<std::size_t>(rng.uniform_int(0, 2))];
       req.bytes = (1ull << 28) << rng.uniform_int(0, 3);  // 256 MiB..2 GiB
+      req.lanes = static_cast<std::size_t>(rng.uniform_int(1, 3));
       auto a = fabric_.attach(req, clock_);
       if (a) live.push_back(Live{a->compute, a->segment});
-      // Failure is legal (capacity/ports); invariants must hold anyway.
-    } else {
-      const auto idx = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+    } else if (op <= 5) {
       ASSERT_TRUE(fabric_.detach(live[idx].compute, live[idx].segment));
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else if (op == 6) {
+      const hw::BrickId to = live[idx].compute == computes_[0] ? computes_[1] : computes_[0];
+      if (fabric_.migrate_attachment(live[idx].segment, live[idx].compute, to, clock_)) {
+        live[idx].compute = to;
+      }
+    } else if (op == 7) {
+      ASSERT_TRUE(fabric_.failover_to_packet(live[idx].compute, live[idx].segment, clock_));
+    } else if (op == 8) {
+      const hw::BrickId target = membricks_[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      if (auto moved = fabric_.relocate_segment(live[idx].compute, live[idx].segment, target,
+                                                clock_)) {
+        live[idx].segment = moved->segment;
+      }
+    } else {
+      // A fibre cut, then the recovery ladder: re-provision every rider of
+      // the dead link, or move it to the packet substrate.
+      const Attachment victim = *find(live[idx]);
+      if (victim.medium == LinkMedium::kOptical && fabric_.fail_circuit(victim.circuit)) {
+        for (const auto& l : live) {
+          if (find(l)->circuit != victim.circuit) continue;
+          if (!fabric_.repair(l.compute, l.segment, clock_)) {
+            ASSERT_TRUE(fabric_.failover_to_packet(l.compute, l.segment, clock_));
+          }
+        }
+      }
     }
     if (step % 20 == 0) check_invariants();
   }
@@ -99,6 +147,7 @@ TEST_P(FabricPropertyTest, RandomInterleavingPreservesInvariants) {
   ASSERT_EQ(fabric_.attachment_count(), 0u);
   ASSERT_EQ(switch_.ports_in_use(), 0u);
   ASSERT_EQ(fabric_.electrical_links(), 0u);
+  ASSERT_EQ(fabric_.packet_links(), 0u);
   for (hw::BrickId cb : computes_) {
     ASSERT_EQ(rack_.brick(cb).free_port_count(true), rack_.brick(cb).port_count());
   }

@@ -1,0 +1,143 @@
+// Link lifecycle regressions: a control-plane path that wires or releases
+// a pair link (here: migration, and a failed bond lane) hands back every
+// port it took, and an attachment record always describes the link it
+// rides.
+
+#include <gtest/gtest.h>
+
+#include "memsys/remote_memory.hpp"
+#include "net/packet_network.hpp"
+
+namespace dredbox::memsys {
+namespace {
+
+using sim::Time;
+constexpr std::uint64_t kGiB = 1ull << 30;
+
+/// Three trays: the dMEMBRICK sits between two dCOMPUBRICKs on trays of
+/// their own, so both pairs are cross-tray (optical). Every brick is on the
+/// packet network for the fallback path.
+class LinkLifecycleTest : public ::testing::Test {
+ protected:
+  LinkLifecycleTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+    const hw::TrayId tray_a = rack_.add_tray();
+    const hw::TrayId tray_m = rack_.add_tray();
+    const hw::TrayId tray_b = rack_.add_tray();
+    compute_a_ = rack_.add_compute_brick(tray_a).id();
+    membrick_ = rack_.add_memory_brick(tray_m).id();
+    compute_b_ = rack_.add_compute_brick(tray_b).id();
+    for (hw::BrickId b : {compute_a_, membrick_, compute_b_}) packet_net_.add_brick(b);
+    fabric_.set_packet_network(&packet_net_);
+  }
+
+  Attachment attach(std::size_t lanes) {
+    AttachRequest req;
+    req.compute = compute_a_;
+    req.membrick = membrick_;
+    req.bytes = kGiB;
+    req.lanes = lanes;
+    auto a = fabric_.attach(req, Time::zero());
+    EXPECT_TRUE(a.has_value());
+    return *a;
+  }
+
+  std::size_t used_ports(hw::BrickId b) const {
+    return rack_.brick(b).port_count() - rack_.brick(b).free_port_count(/*circuit_based=*/true);
+  }
+
+  void expect_pristine() {
+    EXPECT_EQ(fabric_.attachment_count(), 0u);
+    EXPECT_EQ(switch_.ports_in_use(), 0u);
+    EXPECT_EQ(circuits_.active_circuits(), 0u);
+    EXPECT_EQ(fabric_.electrical_links(), 0u);
+    EXPECT_EQ(fabric_.packet_links(), 0u);
+    for (hw::BrickId b : {compute_a_, membrick_, compute_b_}) {
+      EXPECT_EQ(used_ports(b), 0u) << "brick " << b.to_string();
+    }
+  }
+
+  hw::Rack rack_;
+  optics::OpticalSwitch switch_;
+  optics::CircuitManager circuits_;
+  RemoteMemoryFabric fabric_;
+  net::PacketNetwork packet_net_;
+  hw::BrickId compute_a_;
+  hw::BrickId membrick_;
+  hw::BrickId compute_b_;
+};
+
+TEST_F(LinkLifecycleTest, MigratingABondedOpticalLinkLeaksNoPorts) {
+  const Attachment a = attach(3);
+  ASSERT_EQ(a.medium, LinkMedium::kOptical);
+  ASSERT_EQ(switch_.ports_in_use(), 6u);
+
+  const auto moved = fabric_.migrate_attachment(a.segment, compute_a_, compute_b_, Time::ms(1));
+  ASSERT_TRUE(moved.has_value());
+  ASSERT_TRUE(moved->new_circuit);
+  ASSERT_TRUE(fabric_.detach(compute_b_, a.segment));
+  expect_pristine();
+  EXPECT_NO_THROW(fabric_.check_invariants());
+}
+
+TEST_F(LinkLifecycleTest, MigratingAPacketAttachmentLeaksNoPacketLink) {
+  const Attachment a = attach(1);
+  const auto failed_over = fabric_.failover_to_packet(compute_a_, a.segment, Time::ms(1));
+  ASSERT_TRUE(failed_over.has_value());
+  ASSERT_EQ(failed_over->medium, LinkMedium::kPacket);
+  ASSERT_EQ(fabric_.packet_links(), 1u);
+
+  const auto moved = fabric_.migrate_attachment(a.segment, compute_a_, compute_b_, Time::ms(2));
+  ASSERT_TRUE(moved.has_value());
+  ASSERT_TRUE(fabric_.detach(compute_b_, a.segment));
+  expect_pristine();
+  EXPECT_NO_THROW(fabric_.check_invariants());
+}
+
+TEST_F(LinkLifecycleTest, MigratedRecordCarriesTheWiredLaneCount) {
+  const Attachment a = attach(3);
+  const auto moved = fabric_.migrate_attachment(a.segment, compute_a_, compute_b_, Time::ms(1));
+  ASSERT_TRUE(moved.has_value());
+  ASSERT_TRUE(moved->new_circuit);
+  // Each wired lane holds one transceiver port on the destination brick;
+  // execute_path stripes serialization over the record's lane count.
+  EXPECT_EQ(moved->attachment.lanes, used_ports(compute_b_));
+  EXPECT_EQ(fabric_.attachments_of(compute_b_).front().lanes, used_ports(compute_b_));
+  EXPECT_NO_THROW(fabric_.check_invariants());
+}
+
+TEST_F(LinkLifecycleTest, MigrationOntoAnExistingPairLinkAdoptsItsLanes) {
+  AttachRequest wide;
+  wide.compute = compute_b_;
+  wide.membrick = membrick_;
+  wide.bytes = kGiB;
+  wide.lanes = 2;
+  ASSERT_TRUE(fabric_.attach(wide, Time::zero()));
+  const Attachment a = attach(1);
+
+  const auto moved = fabric_.migrate_attachment(a.segment, compute_a_, compute_b_, Time::ms(1));
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_FALSE(moved->new_circuit);
+  EXPECT_EQ(moved->attachment.lanes, 2u);
+  EXPECT_EQ(used_ports(compute_a_), 0u);  // the old single lane was released
+  EXPECT_NO_THROW(fabric_.check_invariants());
+}
+
+TEST_F(LinkLifecycleTest, FailingASiblingLaneTearsTheWholeBond) {
+  const Attachment a = attach(3);
+  // Circuit ids are issued in wiring order; the primary is the first lane.
+  const hw::CircuitId sibling{a.circuit.value + 1};
+  ASSERT_TRUE(circuits_.find(sibling).has_value());
+  ASSERT_TRUE(fabric_.fail_circuit(sibling));
+  EXPECT_EQ(switch_.ports_in_use(), 0u);
+  EXPECT_EQ(fabric_.read(compute_a_, a.compute_base, 64, Time::ms(1)).status,
+            TransactionStatus::kCircuitDown);
+
+  const auto healed = fabric_.repair(compute_a_, a.segment, Time::ms(2));
+  ASSERT_TRUE(healed.has_value());
+  EXPECT_EQ(healed->lanes, 3u);
+  ASSERT_TRUE(fabric_.detach(compute_a_, a.segment));
+  expect_pristine();
+}
+
+}  // namespace
+}  // namespace dredbox::memsys
