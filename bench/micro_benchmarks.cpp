@@ -493,6 +493,33 @@ void BM_DmaSteadyStateAllocs(benchmark::State& state) {
 }
 BENCHMARK(BM_DmaSteadyStateAllocs);
 
+core::DatacenterConfig bench_rack_config() {
+  core::DatacenterConfig config;
+  config.trays = 2;
+  config.compute_bricks_per_tray = 2;
+  config.memory_bricks_per_tray = 2;
+  return config;
+}
+
+// Mixed closed + open tenants issuing sync ops and DMA.
+workload::WorkloadConfig bench_workload(sim::Time duration) {
+  workload::WorkloadConfig wc;
+  workload::TenantSpec closed;
+  closed.name = "bench-closed";
+  closed.vms = 2;
+  closed.outstanding = 2;
+  closed.mix = {0.6, 0.3, 0.1};
+  workload::TenantSpec open;
+  open.name = "bench-open";
+  open.loop = workload::LoopMode::kOpen;
+  open.rate_hz = 30000.0;
+  open.mix = {0.7, 0.3, 0.0};
+  wc.tenants = {closed, open};
+  wc.duration = duration;
+  wc.power_samples = 0;
+  return wc;
+}
+
 // End-to-end load-session throughput: a full WorkloadEngine run (mixed
 // closed + open tenants, sync ops and DMA) per iteration, items = ops the
 // engine completed. This is the number the allocation-free datapath is
@@ -500,26 +527,8 @@ BENCHMARK(BM_DmaSteadyStateAllocs);
 void BM_WorkloadEngineSteadyState(benchmark::State& state) {
   std::uint64_t completed = 0;
   for (auto _ : state) {
-    core::DatacenterConfig config;
-    config.trays = 2;
-    config.compute_bricks_per_tray = 2;
-    config.memory_bricks_per_tray = 2;
-    core::Datacenter dc{config};
-    workload::WorkloadConfig wc;
-    workload::TenantSpec closed;
-    closed.name = "bench-closed";
-    closed.vms = 2;
-    closed.outstanding = 2;
-    closed.mix = {0.6, 0.3, 0.1};
-    workload::TenantSpec open;
-    open.name = "bench-open";
-    open.loop = workload::LoopMode::kOpen;
-    open.rate_hz = 30000.0;
-    open.mix = {0.7, 0.3, 0.0};
-    wc.tenants = {closed, open};
-    wc.duration = sim::Time::ms(4);
-    wc.power_samples = 0;
-    workload::WorkloadEngine engine{dc, wc};
+    core::Datacenter dc{bench_rack_config()};
+    workload::WorkloadEngine engine{dc, bench_workload(sim::Time::ms(4))};
     const workload::WorkloadResult result = engine.run();
     benchmark::DoNotOptimize(result.digest);
     completed += result.completed;
@@ -527,6 +536,40 @@ void BM_WorkloadEngineSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(completed));
 }
 BENCHMARK(BM_WorkloadEngineSteadyState);
+
+// Heap allocations per completed op across a WorkloadEngine window: the
+// per-op issue/record loop (op-kind draw, fabric walk, DMA, completion)
+// that the two steady-state benches above skip. Boot and scale-up run
+// before the count starts, and one uncounted window first warms the
+// process-wide registries. The count covers the whole window, so the
+// engine's result buffers (SampleSet) still grow inside it; over ~20k
+// ops that amortises to well under 0.01 per op, the bound the reducer
+// holds this bench to. One allocation per op reads as ~1.0.
+std::uint64_t window_allocs(std::uint64_t& completed) {
+  core::Datacenter dc{bench_rack_config()};
+  workload::WorkloadEngine engine{dc, bench_workload(sim::Time::ms(200))};
+  engine.prepare();
+  dc.advance_to(engine.boot_ready());
+  const sim::Time t0 = dc.simulator().now();
+  const std::uint64_t before = heap_allocs();
+  engine.begin_window(t0);
+  dc.advance_to(t0 + engine.config().duration + engine.config().drain_grace);
+  const std::uint64_t allocs = heap_allocs() - before;
+  completed += engine.finish().completed;
+  return allocs;
+}
+
+void BM_WorkloadWindowAllocs(benchmark::State& state) {
+  std::uint64_t warm_completed = 0;
+  window_allocs(warm_completed);
+  std::uint64_t allocs = 0;
+  std::uint64_t completed = 0;
+  for (auto _ : state) allocs += window_allocs(completed);
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(std::max<std::uint64_t>(1, completed)));
+  state.SetItemsProcessed(static_cast<std::int64_t>(completed));
+}
+BENCHMARK(BM_WorkloadWindowAllocs)->Iterations(3);
 
 void BM_FcfsScheduling(benchmark::State& state) {
   const tco::WorkloadGenerator gen{tco::WorkloadType::kRandom};

@@ -49,6 +49,12 @@ MIN_SWEEP_SPEEDUP = 2.0
 
 # End-to-end bench stdout lines worth keeping in the record: the paper
 # shape checks and the headline summary figures.
+# Allocation counters that may read above zero, with their ceiling. The
+# workload window bench counts a whole fresh window, so the engine's
+# result buffers grow inside it (amortised far below this bound); a heap
+# allocation per op would read ~1.0. Every other allocs* counter must be 0.
+ALLOCS_BOUNDS = {"BM_WorkloadWindowAllocs": 0.01}
+
 CHECK_RE = re.compile(r"REPRODUCED|NOT reproduced|Round trip:|speedup")
 
 
@@ -512,12 +518,14 @@ def validate_point(path: Path) -> list[str]:
         if not isinstance(b.get("real_time"), (int, float)) or b.get("real_time", -1) < 0:
             err(f"micro entry {b.get('name', '?')} real_time must be >= 0")
         # The allocation-free hot-datapath contract (PR 9): every recorded
-        # allocs* counter must be exactly zero. Older points without the
-        # counters pass vacuously; a new point with a nonzero counter is a
-        # steady-state heap regression, not noise.
+        # allocs* counter must be exactly zero, or within its ALLOCS_BOUNDS
+        # ceiling (keyed by the name before any "/iterations:N" suffix).
+        # Older points without the counters pass vacuously; a new point
+        # over the line is a steady-state heap regression, not noise.
+        bound = ALLOCS_BOUNDS.get(str(b.get("name", "")).split("/")[0], 0)
         for key, value in b.items():
-            if key.startswith("allocs") and value != 0:
-                err(f"micro entry {b.get('name', '?')} {key} must be 0, got {value}")
+            if key.startswith("allocs") and value > bound:
+                err(f"micro entry {b.get('name', '?')} {key} must be <= {bound}, got {value}")
         names.add(b.get("name"))
     if "BM_RmstLookup/32" not in names:
         err("micro must include the headline BM_RmstLookup/32 point")

@@ -1,5 +1,6 @@
 #include "core/cluster.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -95,8 +96,8 @@ class Cluster::RackPort final : public CrossRackPort {
     Cluster* cluster = &cluster_;
     const std::uint32_t target = p.rack;
     const std::uint32_t src = rack_;
-    cluster_.racks_[target]->simulator().at(
-        now + p.link.one_way(request_bytes(bytes, write)),
+    cluster_.send(
+        target, now + p.link.one_way(request_bytes(bytes, write)),
         [cluster, target, src, slot, address, bytes, write] {
           cluster->serve(target, src, slot, address, bytes, write);
         },
@@ -181,6 +182,7 @@ Cluster::Cluster(const DatacenterConfig& config)
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
     racks_.push_back(std::make_unique<Datacenter>(rack_config(config_, r)));
   }
+  heads_.assign(racks_.size(), sim::Time::infinity());
   wire_spine();
   boot_gateways();
 }
@@ -306,9 +308,15 @@ void Cluster::serve(std::uint32_t target, std::uint32_t src, std::uint32_t slot,
   const bool ok = tx.ok();
   back.link.on_send(reply_bytes(bytes, write));
   Cluster* cluster = this;
-  racks_[src]->simulator().at(
-      tx.completed_at + back.link.one_way(reply_bytes(bytes, write)),
-      [cluster, src, slot, ok] { cluster->complete(src, slot, ok); }, "spine.reply");
+  send(src, tx.completed_at + back.link.one_way(reply_bytes(bytes, write)),
+       [cluster, src, slot, ok] { cluster->complete(src, slot, ok); }, "spine.reply");
+}
+
+void Cluster::send(std::uint32_t target, sim::Time when, sim::EventQueue::Action action,
+                   const char* label) {
+  racks_[target]->simulator().at(when, std::move(action), label);
+  // Scheduling at `when` moves the target queue's head to min(head, when).
+  if (when < heads_[target]) heads_[target] = when;
 }
 
 void Cluster::complete(std::uint32_t src, std::uint32_t slot, bool ok) {
@@ -344,20 +352,22 @@ std::uint64_t Cluster::served_digest(std::size_t r) const {
 ClusterRunStats Cluster::advance_all(sim::Time until) {
   ClusterRunStats stats;
   const std::uint64_t delivered_before = delivered_;
-  std::vector<sim::Time> heads(racks_.size());
+  for (std::size_t r = 0; r < racks_.size(); ++r) {
+    heads_[r] = racks_[r]->simulator().queue().next_time();
+  }
   for (;;) {
-    sim::Time tick = sim::Time::infinity();
-    for (std::size_t r = 0; r < racks_.size(); ++r) {
-      heads[r] = racks_[r]->simulator().queue().next_time();
-      if (heads[r] < tick) tick = heads[r];
-    }
+    DREDBOX_AUDIT_INVARIANT(check_heads());
+    const sim::Time tick = *std::min_element(heads_.begin(), heads_.end());
     if (tick.is_infinite() || tick > until) break;
     ++stats.rounds;
-    // A head read above stays valid for the whole tick: running a rack to
-    // `tick` only adds events to its peers at least one propagation delay
-    // later, so no other rack's head can move onto `tick`.
+    // Only the rack that ran and the targets of its sends can change head.
+    // A send lands at least one propagation delay after `tick`, so no
+    // rack's head moves onto `tick` while the tick is in progress.
     for (std::size_t r = 0; r < racks_.size(); ++r) {
-      if (heads[r] == tick) racks_[r]->simulator().run_until(tick);
+      if (heads_[r] != tick) continue;
+      sim::EventQueue& queue = racks_[r]->simulator().queue();
+      queue.run_until(tick);
+      heads_[r] = queue.next_time();
     }
   }
   // Every head is past `until`: this dispatches nothing and parks each
@@ -365,6 +375,14 @@ ClusterRunStats Cluster::advance_all(sim::Time until) {
   for (auto& rack : racks_) rack->simulator().run_until(until);
   stats.messages = delivered_ - delivered_before;
   return stats;
+}
+
+void Cluster::check_heads() const {
+  for (std::size_t r = 0; r < racks_.size(); ++r) {
+    DREDBOX_INVARIANT(heads_[r] == racks_[r]->simulator().queue().next_time(),
+                      "Cluster::advance_all: cached head of rack " + std::to_string(r) +
+                          " disagrees with its queue");
+  }
 }
 
 double Cluster::power_draw_watts() const {

@@ -9,6 +9,7 @@
 #include "core/cross_port.hpp"
 #include "core/datacenter.hpp"
 #include "optics/spine.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace dredbox::core {
@@ -93,6 +94,11 @@ class Cluster {
   /// propagation delay after its send, so it never reaches a rack whose
   /// clock has passed it, and within one tick a rack sees events in
   /// scheduling order (FIFO within a timestamp).
+  ///
+  /// Heads are polled from every queue once on entry and then cached: a
+  /// rack's head is re-read only after it ran, and a cross-rack send
+  /// lowers its target's head to the landing tick. Under DREDBOX_AUDIT
+  /// every tick re-checks the cache against each queue.
   ClusterRunStats advance_all(sim::Time until);
 
   /// Total spine + racks instantaneous power.
@@ -110,6 +116,13 @@ class Cluster {
   /// Source-side half: retire pending slot `slot` and hand the completion
   /// to the rack's installed handler.
   void complete(std::uint32_t src, std::uint32_t slot, bool ok);
+
+  /// Schedules a spine message onto rack `target`'s queue and lowers that
+  /// rack's cached head to `when`. Every cross-rack event goes through here.
+  void send(std::uint32_t target, sim::Time when, sim::EventQueue::Action action,
+            const char* label);
+  /// Audit: every cached head equals its queue's next_time().
+  void check_heads() const;
 
   void wire_spine();
   void boot_gateways();
@@ -129,6 +142,8 @@ class Cluster {
   bool faults_armed_ = false;
   /// Spine messages delivered so far (requests served plus replies).
   std::uint64_t delivered_ = 0;
+  /// Per-rack head tick as advance_all() last knew it (see there).
+  std::vector<sim::Time> heads_;
 };
 
 }  // namespace dredbox::core

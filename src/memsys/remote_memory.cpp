@@ -858,9 +858,12 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   tx.destination = route->entry->dest_brick;
   tx.remote_address = route->remote_addr;
 
+  // The serving dMEMBRICK, resolved once for the whole traversal.
+  const hw::MemoryBrick& mb = rack_.memory_brick(tx.destination);
+
   // A crashed dMEMBRICK never answers: the transaction dies at the TGL
   // (the modelled equivalent of an AXI timeout back to the APU).
-  if (rack_.brick(tx.destination).failed()) {
+  if (mb.failed()) {
     tx.status = TransactionStatus::kBrickFailed;
     tx.completed_at = t;
     return tx;
@@ -869,12 +872,14 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   // Cross-check the RMST entry against the dMEMBRICK's segment table: a
   // corrupted entry (SEU in the PL comparators) would scatter the access
   // over the wrong backing bytes, so it is refused instead.
-  const auto backing = rack_.memory_brick(tx.destination).find_segment(route->entry->segment);
+  const auto backing = mb.find_segment(route->entry->segment);
   if (!backing || backing->owner != compute || backing->base != route->entry->dest_base) {
     tx.status = TransactionStatus::kCorruptMapping;
     tx.completed_at = t;
     return tx;
   }
+
+  const hw::MemoryTechnology tech = mb.config().technology;
 
   // Packet-substrate attachments delegate the whole round trip to the
   // packet network model (NI, on-brick switches, MAC/PHY).
@@ -882,10 +887,9 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
     net::Packet pkt =
         kind == TransactionKind::kRead
             ? packet_net_->remote_read(compute, tx.destination, tx.remote_address, bytes, t,
-                                       rack_.memory_brick(tx.destination).config().technology, ctx)
+                                       tech, ctx)
             : packet_net_->remote_write(compute, tx.destination, tx.remote_address, bytes, t,
-                                        rack_.memory_brick(tx.destination).config().technology,
-                                        ctx);
+                                        tech, ctx);
     tx.breakdown.merge(pkt.breakdown);
     tx.completed_at = pkt.delivered_at;
     return tx;
@@ -921,7 +925,6 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
     }
   }
 
-  const auto tech = rack_.memory_brick(tx.destination).config().technology;
   // Array occupancy: first-word latency plus streaming time for the
   // payload at the controller's bandwidth.
   const bool hmc = tech == hw::MemoryTechnology::kHmc;
@@ -952,7 +955,6 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   // concurrent transactions (Section II).
   tx.breakdown.charge(kBdGlueLogic, latencies_.glue_logic);
   t += latencies_.glue_logic;
-  const auto& mb = rack_.memory_brick(tx.destination);
   const std::size_t mc_count = mb.config().memory_controllers;
   const std::size_t mc =
       static_cast<std::size_t>((tx.remote_address >> 12)) % std::max<std::size_t>(1, mc_count);

@@ -17,12 +17,7 @@ std::size_t Breakdown::find(ComponentId component) const {
   return count_;
 }
 
-void Breakdown::charge(ComponentId component, Time amount) {
-  const std::size_t i = find(component);
-  if (i < count_) {
-    times_[i] += amount;
-    return;
-  }
+void Breakdown::append(ComponentId component, Time amount) {
   DREDBOX_INVARIANT(count_ < kMaxComponents,
                     "Breakdown overflow: one op charged more than kMaxComponents "
                     "distinct components — grow kMaxComponents only if the "

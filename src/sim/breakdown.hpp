@@ -32,8 +32,17 @@ class Breakdown {
   static constexpr std::size_t kMaxComponents = 24;
 
   /// Adds `amount` under the interned component — the hot-path overload;
-  /// the datapath caches ids at namespace scope and charges by id.
-  void charge(ComponentId component, Time amount);
+  /// the datapath caches ids at namespace scope and charges by id. The hit
+  /// path is inline; only a first charge of a component leaves the header.
+  void charge(ComponentId component, Time amount) {
+    for (std::size_t i = 0; i < count_; ++i) {
+      if (ids_[i] == component) {
+        times_[i] += amount;
+        return;
+      }
+    }
+    append(component, amount);
+  }
 
   /// Compatibility shim: interns `component` and charges by id. Still
   /// allocation-free for every label the datapath ships (known labels
@@ -81,6 +90,8 @@ class Breakdown {
  private:
   /// Index of `component` in ids_, or count_ if absent.
   std::size_t find(ComponentId component) const;
+  /// Adds a component not yet present.
+  void append(ComponentId component, Time amount);
 
   ComponentId ids_[kMaxComponents];
   Time times_[kMaxComponents];

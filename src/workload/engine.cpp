@@ -302,14 +302,11 @@ void WorkloadEngine::perform_op(VmDriver& driver, bool closed_loop) {
 
   const std::uint64_t address =
       driver.window_base + aligned_offset(rng, driver.window_size, driver.spec.op_bytes);
-  memsys::Transaction tx;
-  if (kind == 0) {
-    ++result_.reads;
-    tx = dc_.fabric().read(driver.compute, address, driver.spec.op_bytes, now, ctx);
-  } else {
-    ++result_.writes;
-    tx = dc_.fabric().write(driver.compute, address, driver.spec.op_bytes, now, ctx);
-  }
+  ++(kind == 0 ? result_.reads : result_.writes);
+  // Both arms are prvalues, so the transaction is built in place.
+  const memsys::Transaction tx =
+      kind == 0 ? dc_.fabric().read(driver.compute, address, driver.spec.op_bytes, now, ctx)
+                : dc_.fabric().write(driver.compute, address, driver.spec.op_bytes, now, ctx);
   record_sync_op(tx);
   if (ctx.valid()) {
     sim::Span span{telemetry.tracer(), sim::TraceCategory::kApplication,

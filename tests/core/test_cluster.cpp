@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "net/interrack_link.hpp"
 #include "sim/contract.hpp"
 #include "sim/time.hpp"
+#include "workload/engine.hpp"
 
 namespace dredbox::core {
 namespace {
@@ -255,6 +258,164 @@ TEST(ClusterTest, GatewayWindowRejectsOutOfRangeOffsets) {
   rig.cluster.port(0).set_handler([](const CrossCompletion&) {});
   EXPECT_THROW(rig.cluster.port(0).issue(0, window, 64, false, 0, false),
                sim::ContractViolation);
+}
+
+// --- advance_all against a full-scan oracle ---
+//
+// advance_all caches each rack's head tick. The oracle below re-polls
+// every rack's queue on every tick instead, through the public per-rack
+// queue()/run_until() calls only, so it shares no head bookkeeping with
+// the scheduler it checks.
+
+ClusterRunStats advance_all_by_polling(Cluster& cluster, sim::Time until) {
+  ClusterRunStats stats;
+  std::vector<sim::Time> heads(cluster.size());
+  for (;;) {
+    sim::Time tick = sim::Time::infinity();
+    for (std::size_t r = 0; r < cluster.size(); ++r) {
+      heads[r] = cluster.rack(r).simulator().queue().next_time();
+      tick = std::min(tick, heads[r]);
+    }
+    if (tick.is_infinite() || tick > until) break;
+    ++stats.rounds;
+    for (std::size_t r = 0; r < cluster.size(); ++r) {
+      if (heads[r] == tick) cluster.rack(r).simulator().run_until(tick);
+    }
+  }
+  for (std::size_t r = 0; r < cluster.size(); ++r) cluster.rack(r).simulator().run_until(until);
+  return stats;
+}
+
+ClusterRunStats advance_all_cached(Cluster& cluster, sim::Time until) {
+  return cluster.advance_all(until);
+}
+
+struct OracleSpec {
+  std::size_t racks = 16;
+  /// Racks [0, loaded) host a tenant; the rest are woken only by requests.
+  std::size_t loaded = 16;
+  double cross_share = 0.2;
+  bool spine_fault = false;
+  std::uint64_t seed = 1;
+  sim::Time window = sim::Time::us(400);
+};
+
+/// Everything one coupled run leaves behind that depends on the schedule.
+struct CoupledRun {
+  /// Each rack's head tick when the window opens.
+  std::vector<sim::Time> heads_at_start;
+  std::size_t rounds = 0;
+  std::vector<std::uint64_t> workload_digests;
+  std::vector<std::uint64_t> served_digests;
+  std::vector<RackLinkStats> links;
+  std::uint64_t cross_ops = 0;
+};
+
+/// Runs one coupled window the way workload::ClusterEngine does (one
+/// engine per loaded rack, common t0, spine faults armed at t0), with
+/// `advance` doing the coupled advance.
+CoupledRun run_coupled(const OracleSpec& spec,
+                       ClusterRunStats (*advance)(Cluster&, sim::Time until)) {
+  ScenarioBuilder builder;
+  builder.add_racks(spec.racks, RackSpec{1, 2, 2, 0})
+      .cross_rack_share(spec.cross_share)
+      .seed(spec.seed);
+  if (spec.spine_fault) builder.spine_fault(0, spec.window / 3, spec.window / 3);
+  Scenario scenario = builder.build();
+  Cluster& cluster = scenario.cluster();
+
+  std::vector<std::unique_ptr<workload::WorkloadEngine>> engines(cluster.size());
+  for (std::size_t r = 0; r < spec.loaded; ++r) {
+    workload::WorkloadConfig config;
+    config.duration = spec.window;
+    config.drain_grace = sim::Time::us(200);
+    config.power_samples = 0;
+    workload::TenantSpec tenant;
+    tenant.name = "rack" + std::to_string(r);
+    tenant.vms = 1;
+    tenant.local_bytes = 256ull << 20;
+    tenant.remote_bytes = 1ull << 30;
+    tenant.outstanding = 2;
+    tenant.rate_hz = 200000.0;
+    tenant.mix = {0.6, 0.3, 0.1};
+    config.tenants.push_back(tenant);
+    engines[r] = std::make_unique<workload::WorkloadEngine>(cluster.rack(r), config);
+    engines[r]->install_cross_port(&cluster.port(r), spec.cross_share);
+  }
+  sim::Time t0 = sim::Time::zero();
+  for (std::size_t r = 0; r < cluster.size(); ++r) {
+    if (engines[r]) {
+      engines[r]->prepare();
+      t0 = std::max(t0, engines[r]->boot_ready());
+    }
+    t0 = std::max(t0, cluster.rack(r).simulator().now());
+  }
+  for (std::size_t r = 0; r < cluster.size(); ++r) cluster.rack(r).advance_to(t0);
+  cluster.arm_spine_faults(t0);
+  for (auto& engine : engines) {
+    if (engine) engine->begin_window(t0);
+  }
+
+  CoupledRun run;
+  for (std::size_t r = 0; r < cluster.size(); ++r) {
+    run.heads_at_start.push_back(cluster.rack(r).simulator().queue().next_time());
+  }
+  run.rounds = advance(cluster, t0 + spec.window + sim::Time::us(200)).rounds;
+  for (std::size_t r = 0; r < cluster.size(); ++r) {
+    if (engines[r]) {
+      const workload::WorkloadResult result = engines[r]->finish();
+      run.workload_digests.push_back(result.digest);
+      run.cross_ops += result.cross_ops;
+    }
+    run.served_digests.push_back(cluster.served_digest(r));
+    run.links.push_back(cluster.link_stats(r));
+  }
+  return run;
+}
+
+void expect_same_schedule(const OracleSpec& spec) {
+  const CoupledRun oracle = run_coupled(spec, advance_all_by_polling);
+  const CoupledRun cached = run_coupled(spec, advance_all_cached);
+  ASSERT_GT(oracle.cross_ops, 0u) << "the scenario must cross the spine";
+  EXPECT_EQ(cached.rounds, oracle.rounds);
+  EXPECT_EQ(cached.workload_digests, oracle.workload_digests);
+  EXPECT_EQ(cached.served_digests, oracle.served_digests);
+  ASSERT_EQ(cached.links.size(), oracle.links.size());
+  for (std::size_t r = 0; r < oracle.links.size(); ++r) {
+    EXPECT_EQ(cached.links[r].tx_messages, oracle.links[r].tx_messages) << "rack " << r;
+    EXPECT_EQ(cached.links[r].tx_bytes, oracle.links[r].tx_bytes) << "rack " << r;
+    EXPECT_EQ(cached.links[r].rx_messages, oracle.links[r].rx_messages) << "rack " << r;
+    EXPECT_EQ(cached.links[r].fail_fast, oracle.links[r].fail_fast) << "rack " << r;
+  }
+}
+
+TEST(ClusterSchedulerOracleTest, SixteenRacksWithCrossTrafficMatchFullScan) {
+  expect_same_schedule(OracleSpec{});
+}
+
+TEST(ClusterSchedulerOracleTest, IdleRacksWokenOnlyBySpineRequestsMatchFullScan) {
+  // Racks 2..5 host no tenant: their heads sit at infinity until a
+  // request lands, which must lower the cached head to a finite tick.
+  OracleSpec spec;
+  spec.racks = 6;
+  spec.loaded = 2;
+  spec.cross_share = 0.5;
+  const CoupledRun run = run_coupled(spec, advance_all_cached);
+  for (std::size_t r = spec.loaded; r < spec.racks; ++r) {
+    EXPECT_TRUE(run.heads_at_start[r].is_infinite()) << "rack " << r << " is not idle";
+    EXPECT_GT(run.links[r].rx_messages, 0u) << "idle rack " << r << " never served";
+  }
+  expect_same_schedule(spec);
+}
+
+TEST(ClusterSchedulerOracleTest, SpineFaultMidWindowMatchesFullScan) {
+  OracleSpec spec;
+  spec.racks = 4;
+  spec.loaded = 4;
+  spec.spine_fault = true;
+  const CoupledRun run = run_coupled(spec, advance_all_by_polling);
+  EXPECT_GT(run.links[0].fail_fast, 0u) << "the fault must hit the fail-fast path";
+  expect_same_schedule(spec);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "hw/rack.hpp"
 
 namespace dredbox::hw {
@@ -124,6 +127,57 @@ TEST(RackTest, RemoveBrickWithConnectedPortRejected) {
   auto& cb = rack.add_compute_brick(t);
   cb.port(0).connected = true;
   EXPECT_THROW(rack.remove_brick(cb.id()), std::logic_error);
+}
+
+TEST(RackTest, RemovedBrickLeavesAnOrderedHole) {
+  Rack rack;
+  const TrayId t = rack.add_tray();
+  const BrickId c1 = rack.add_compute_brick(t).id();
+  const BrickId m1 = rack.add_memory_brick(t).id();
+  const BrickId c2 = rack.add_compute_brick(t).id();
+  const BrickId m2 = rack.add_memory_brick(t).id();
+  ASSERT_EQ(rack.brick_count(), 4u);
+  rack.remove_brick(m1);
+  EXPECT_EQ(rack.brick_count(), 3u);
+  EXPECT_EQ(rack.all_bricks(), (std::vector<BrickId>{c1, c2, m2}));
+  EXPECT_EQ(rack.bricks_of_kind(BrickKind::kMemory), (std::vector<BrickId>{m2}));
+  EXPECT_EQ(rack.bricks_of_kind(BrickKind::kCompute), (std::vector<BrickId>{c1, c2}));
+  // Ids are never reused: the next brick lands after the hole.
+  const BrickId m3 = rack.add_memory_brick(t).id();
+  EXPECT_GT(m3, m2);
+  EXPECT_EQ(rack.all_bricks(), (std::vector<BrickId>{c1, c2, m2, m3}));
+  EXPECT_EQ(rack.brick_count(), 4u);
+}
+
+TEST(RackTest, UnknownRemovedAndPastTheEndIdsThrowOutOfRange) {
+  Rack rack;
+  const TrayId t = rack.add_tray();
+  const BrickId c = rack.add_compute_brick(t).id();
+  const BrickId m = rack.add_memory_brick(t).id();
+  rack.remove_brick(c);
+  for (const BrickId id : {BrickId{0}, c, BrickId{m.value + 1}, BrickId{}}) {
+    EXPECT_FALSE(rack.has_brick(id)) << id.to_string();
+    EXPECT_THROW(rack.brick(id), std::out_of_range) << id.to_string();
+    EXPECT_THROW(rack.compute_brick(id), std::out_of_range) << id.to_string();
+    EXPECT_THROW(rack.memory_brick(id), std::out_of_range) << id.to_string();
+    EXPECT_THROW(rack.remove_brick(id), std::out_of_range) << id.to_string();
+  }
+  EXPECT_TRUE(rack.has_brick(m));
+  // A kind mismatch on a live id is still a logic error, not a lookup
+  // miss (std::out_of_range derives from std::logic_error, so tell them
+  // apart explicitly).
+  const auto throws_kind_mismatch = [&rack](auto lookup) {
+    try {
+      lookup(rack);
+    } catch (const std::out_of_range&) {
+      return false;
+    } catch (const std::logic_error&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(throws_kind_mismatch([m](Rack& r) { r.compute_brick(m); }));
+  EXPECT_TRUE(throws_kind_mismatch([m](Rack& r) { r.accelerator_brick(m); }));
 }
 
 TEST(RackTest, PowerDrawFollowsStates) {
