@@ -112,16 +112,17 @@ void BM_RmstLookupMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_RmstLookupMiss)->Arg(32);
 
-// Breakdown::charge with literal labels: every transaction in the datapath
+// Breakdown::charge by interned id: every transaction in the datapath
 // charges several components, so this path must not allocate per call.
 void BM_BreakdownCharge(benchmark::State& state) {
+  const sim::ComponentId mac_mem = sim::component_id("MAC/PHY (dMEMBRICK)");
   sim::Breakdown breakdown;
-  breakdown.charge("serialization", sim::Time::ns(1));
-  breakdown.charge("optical propagation", sim::Time::ns(1));
-  breakdown.charge("MAC/PHY (dCOMPUBRICK)", sim::Time::ns(1));
-  breakdown.charge("MAC/PHY (dMEMBRICK)", sim::Time::ns(1));
+  breakdown.charge(sim::component_id("serialization"), sim::Time::ns(1));
+  breakdown.charge(sim::component_id("optical propagation"), sim::Time::ns(1));
+  breakdown.charge(sim::component_id("MAC/PHY (dCOMPUBRICK)"), sim::Time::ns(1));
+  breakdown.charge(mac_mem, sim::Time::ns(1));
   for (auto _ : state) {
-    breakdown.charge("MAC/PHY (dMEMBRICK)", sim::Time::ns(1));
+    breakdown.charge(mac_mem, sim::Time::ns(1));
     benchmark::DoNotOptimize(breakdown);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -430,22 +431,48 @@ void BM_RemoteReadSteadyStateAllocs(benchmark::State& state) {
   const auto vm = dc.boot_vm("bench-guest", /*vcpus=*/2, /*memory=*/2ull << 30);
   const auto up = dc.scale_up(vm.vm, vm.compute, 2ull << 30);
   benchmark::DoNotOptimize(up.ok);
-  const auto attachment = dc.fabric().attachments_of(vm.compute).front();
-  std::uint64_t offset = 0;
+  // One electrical (same tray) and one optical (other tray) attachment, so
+  // every op resolves a link record and a controller-table row of either
+  // medium, reads and writes alike.
+  auto& fabric = dc.fabric();
+  const hw::TrayId home = dc.rack().brick(vm.compute).tray();
+  std::vector<memsys::Attachment> attachments;
+  for (const bool same_tray : {true, false}) {
+    for (const hw::BrickId mem : dc.rack().bricks_of_kind(hw::BrickKind::kMemory)) {
+      if ((dc.rack().brick(mem).tray() == home) != same_tray) continue;
+      memsys::AttachRequest req;
+      req.compute = vm.compute;
+      req.membrick = mem;
+      req.bytes = 1ull << 30;
+      if (auto a = fabric.attach(req, dc.simulator().now())) {
+        attachments.push_back(*a);
+        break;
+      }
+    }
+  }
+  if (attachments.size() != 2 || attachments[0].medium != memsys::LinkMedium::kElectrical ||
+      attachments[1].medium != memsys::LinkMedium::kOptical) {
+    state.SkipWithError("could not attach one electrical and one optical segment");
+    return;
+  }
+  std::uint64_t op = 0;
+  const auto issue = [&] {
+    const memsys::Attachment& a = attachments[op & 1];
+    const std::uint64_t address = a.compute_base + ((op * 64) & 0xFFC0);
+    const sim::Time now = dc.simulator().now();
+    const auto tx = (op & 2) != 0 ? fabric.write(vm.compute, address, 64, now)
+                                  : fabric.read(vm.compute, address, 64, now);
+    ++op;
+    return tx.ok();
+  };
   // Warm-up: first touches grow arenas and intern labels; steady state
   // starts once every pool has reached its working-set size.
-  for (int i = 0; i < 256; ++i) {
-    benchmark::DoNotOptimize(
-        dc.remote_read(vm.compute, attachment.compute_base + (offset & 0xFFC0), 64));
-    offset += 64;
-  }
+  for (int i = 0; i < 256; ++i) benchmark::DoNotOptimize(issue());
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const std::uint64_t before = heap_allocs();
-    benchmark::DoNotOptimize(
-        dc.remote_read(vm.compute, attachment.compute_base + (offset & 0xFFC0), 64));
+    benchmark::DoNotOptimize(issue());
     allocs += heap_allocs() - before;
-    offset += 64;
   }
   state.counters["allocs_per_op"] = benchmark::Counter(
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));

@@ -225,6 +225,8 @@ RemoteMemoryFabric::Link RemoteMemoryFabric::wire_electrical(hw::BrickId compute
   want.medium = LinkMedium::kElectrical;
   want.out_port = link.a_ports.front();
   electrical_.push_back(std::move(link));
+  link_records_.push_back(LinkRecord{want.id, LinkMedium::kElectrical, want.lanes,
+                                     latencies_.electrical_propagation, sim::Time::zero()});
   return want;
 }
 
@@ -233,6 +235,7 @@ std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::wire_optical(hw::Bri
                                                                          Link want) {
   // One circuit per lane, all bonded under the first (primary) id.
   OpticalBond bond;
+  sim::Time propagation;
   for (std::size_t l = 0; l < want.lanes; ++l) {
     auto* cport = rack_.brick(compute).find_free_port(/*circuit_based=*/true);
     auto* mport = rack_.brick(membrick).find_free_port(/*circuit_based=*/true);
@@ -253,7 +256,10 @@ std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::wire_optical(hw::Bri
     }
     cport->connected = true;
     mport->connected = true;
-    if (bond.all.empty()) want.out_port = cport->id;
+    if (bond.all.empty()) {
+      want.out_port = cport->id;
+      propagation = circuit->propagation_delay();
+    }
     bond.all.push_back(circuit->id);
   }
   if (bond.all.empty()) return std::nullopt;
@@ -262,6 +268,8 @@ std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::wire_optical(hw::Bri
   want.medium = LinkMedium::kOptical;
   want.lanes = bond.all.size();
   if (bond.all.size() > 1) bonds_.push_back(std::move(bond));
+  link_records_.push_back(
+      LinkRecord{want.id, LinkMedium::kOptical, want.lanes, propagation, sim::Time::zero()});
   return want;
 }
 
@@ -290,6 +298,8 @@ std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::wire_packet(hw::Bric
   }
   want.id = hw::CircuitId{next_packet_id_++};
   packet_.push_back(PacketLink{want.id, compute, membrick});
+  link_records_.push_back(
+      LinkRecord{want.id, LinkMedium::kPacket, 1, sim::Time::zero(), sim::Time::zero()});
   return want;
 }
 
@@ -309,7 +319,28 @@ void RemoteMemoryFabric::release_if_unused(hw::CircuitId id) {
   } else {
     tear_optical(id);
   }
-  circuit_busy_until_.erase(id.value);
+  drop_link(id);
+}
+
+RemoteMemoryFabric::LinkRecord* RemoteMemoryFabric::find_link(hw::CircuitId id) {
+  for (auto& l : link_records_) {
+    if (l.id == id) return &l;
+  }
+  return nullptr;
+}
+
+void RemoteMemoryFabric::drop_link(hw::CircuitId id) {
+  std::erase_if(link_records_, [&](const LinkRecord& l) { return l.id == id; });
+}
+
+void RemoteMemoryFabric::track_controllers(hw::BrickId membrick) {
+  const std::size_t controllers =
+      std::max<std::size_t>(1, rack_.memory_brick(membrick).config().memory_controllers);
+  if (mc_busy_until_.size() <= membrick.value) {
+    mc_busy_until_.resize(membrick.value + 1);
+  }
+  auto& row = mc_busy_until_[membrick.value];
+  if (row.size() < controllers) row.resize(controllers, sim::Time::zero());
 }
 
 bool RemoteMemoryFabric::tear_optical(hw::CircuitId lane) {
@@ -329,7 +360,7 @@ bool RemoteMemoryFabric::tear_optical(hw::CircuitId lane) {
     rack_.brick(live->a.brick).port(live->a.port.value).connected = false;
     rack_.brick(live->b.brick).port(live->b.port.value).connected = false;
     circuits_.teardown(id);
-    circuit_busy_until_.erase(id.value);
+    drop_link(id);
     any = true;
   }
   return any;
@@ -405,6 +436,7 @@ std::optional<Attachment> RemoteMemoryFabric::attach_impl(const AttachRequest& r
   a.size = request.bytes;
   ride(a, *link, now);
   attachments_.push_back(a);
+  track_controllers(request.membrick);
   return a;
 }
 
@@ -529,7 +561,7 @@ void RemoteMemoryFabric::on_circuits_torn(const std::vector<optics::Circuit>& to
     // The manager already dropped `c`; tear_optical takes its bond siblings.
     rack_.brick(c.a.brick).port(c.a.port.value).connected = false;
     rack_.brick(c.b.brick).port(c.b.port.value).connected = false;
-    circuit_busy_until_.erase(c.id.value);
+    drop_link(c.id);
     tear_optical(c.id);
   }
   DREDBOX_AUDIT_INVARIANT(check_invariants());
@@ -624,6 +656,7 @@ std::optional<Attachment> RemoteMemoryFabric::relocate_segment(hw::BrickId compu
   // Release the old backing bytes and the old link when last rider.
   rack_.memory_brick(old.membrick).release(old_segment);
   release_if_unused(old.circuit);
+  track_controllers(new_membrick);
   if (relocations_metric_ != nullptr) relocations_metric_->add();
   DREDBOX_ENSURE(result.compute_base == old.compute_base && result.size == old.size,
                  "relocation changed the compute-side window");
@@ -846,7 +879,7 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
 
   // The APU forwards the transaction to the TGL via its master ports; the
   // TGL identifies the remote segment (fully associative RMST match).
-  tx.breakdown.charge(kBdTglLookup, latencies_.tgl_lookup);
+  tx.breakdown.append(kBdTglLookup, latencies_.tgl_lookup);
   sim::Time t = when + latencies_.tgl_lookup;
 
   auto route = cb.tgl().route(address);
@@ -881,9 +914,20 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
 
   const hw::MemoryTechnology tech = mb.config().technology;
 
+  // One lookup resolves the link: medium, lanes, propagation and cable
+  // occupancy. No record means the link is down (a failed or torn optical
+  // circuit awaiting repair).
+  LinkRecord* link = find_link(route->entry->circuit);
+  DREDBOX_AUDIT_INVARIANT(audit_link(route->entry->circuit, link));
+  if (link == nullptr) {
+    tx.status = TransactionStatus::kCircuitDown;
+    tx.completed_at = t;
+    return tx;
+  }
+
   // Packet-substrate attachments delegate the whole round trip to the
   // packet network model (NI, on-brick switches, MAC/PHY).
-  if (find_packet(route->entry->circuit) != nullptr) {
+  if (link->medium == LinkMedium::kPacket) {
     net::Packet pkt =
         kind == TransactionKind::kRead
             ? packet_net_->remote_read(compute, tx.destination, tx.remote_address, bytes, t,
@@ -895,35 +939,9 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
     return tx;
   }
 
-  // Resolve the medium: intra-tray electrical links are tracked by the
-  // fabric itself; optical circuits by the circuit manager.
-  LinkMedium medium = LinkMedium::kOptical;
-  sim::Time propagation;
-  if (const ElectricalLink* link = find_electrical(route->entry->circuit); link != nullptr) {
-    medium = LinkMedium::kElectrical;
-    propagation = latencies_.electrical_propagation;
-  } else {
-    const optics::Circuit* circuit = circuits_.find_ref(route->entry->circuit);
-    if (circuit == nullptr) {
-      tx.status = TransactionStatus::kCircuitDown;
-      tx.completed_at = t;
-      return tx;
-    }
-    propagation = circuit->propagation_delay();
-  }
-  const sim::Time serdes =
-      medium == LinkMedium::kElectrical ? latencies_.electrical_serdes : latencies_.serdes;
-  const sim::ComponentId wire =
-      medium == LinkMedium::kElectrical ? kBdElectricalProp : kBdOpticalProp;
-
-  // Bonded-lane count for this circuit (attachments on the pair carry it).
-  std::size_t lanes = 1;
-  for (const auto& a : attachments_) {
-    if (a.circuit == route->entry->circuit) {
-      lanes = a.lanes;
-      break;
-    }
-  }
+  const bool electrical = link->medium == LinkMedium::kElectrical;
+  const sim::Time serdes = electrical ? latencies_.electrical_serdes : latencies_.serdes;
+  const sim::Time propagation = link->propagation;
 
   // Array occupancy: first-word latency plus streaming time for the
   // payload at the controller's bandwidth.
@@ -932,48 +950,47 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   const sim::Time mem_access = (hmc ? latencies_.hmc_access : latencies_.ddr_access) +
                                sim::Time::ns(static_cast<double>(bytes) * 8.0 / array_gbps);
 
-  // Outbound: request (write carries payload; read is header-only).
+  // Outbound: request (write carries payload; read is header-only) waits
+  // for the cable, then crosses serdes, the wire and serdes again.
   const std::uint32_t out_bytes = kind == TransactionKind::kWrite ? bytes : 0;
-  const sim::Time out_ser = serialization_time(out_bytes, medium, lanes);
-  sim::Time& busy = circuit_busy_until_[route->entry->circuit.value];
-  const sim::Time start = std::max(t, busy);
-  tx.breakdown.charge(kBdCircuitWait, start - t);
-  tx.breakdown.charge(kBdSerialization, out_ser);
-  busy = start + out_ser;
-  t = start + out_ser;
-
-  tx.breakdown.charge(kBdSerdesTx, serdes);
-  t += serdes;
-  tx.breakdown.charge(wire, propagation);
-  t += propagation;
-  tx.breakdown.charge(kBdSerdesRx, serdes);
-  t += serdes;
+  const sim::Time out_ser = serialization_time(out_bytes, link->medium, link->lanes);
+  const sim::Time send = std::max(t, link->busy_until);
+  const sim::Time circuit_wait = send - t;
+  link->busy_until = send + out_ser;
+  t = send + out_ser + serdes + propagation + serdes + latencies_.glue_logic;
 
   // dMEMBRICK: glue logic steers the transaction to one of the brick's
   // memory controllers (address-interleaved); a busy controller delays
   // the access, so bricks dimensioned with more controllers sustain more
   // concurrent transactions (Section II).
-  tx.breakdown.charge(kBdGlueLogic, latencies_.glue_logic);
-  t += latencies_.glue_logic;
-  const std::size_t mc_count = mb.config().memory_controllers;
+  DREDBOX_REQUIRE(tx.destination.value < mc_busy_until_.size() &&
+                      mc_busy_until_[tx.destination.value].size() ==
+                          std::max<std::size_t>(1, mb.config().memory_controllers),
+                  "controller table row not sized for dMEMBRICK " + tx.destination.to_string());
+  auto& controllers = mc_busy_until_[tx.destination.value];
   const std::size_t mc =
-      static_cast<std::size_t>((tx.remote_address >> 12)) % std::max<std::size_t>(1, mc_count);
-  const std::uint64_t mc_key =
-      (static_cast<std::uint64_t>(tx.destination.value) << 8) | static_cast<std::uint64_t>(mc);
-  sim::Time& mc_busy = controller_busy_until_[mc_key];
+      static_cast<std::size_t>(tx.remote_address >> 12) % controllers.size();
+  sim::Time& mc_busy = controllers[mc];
   const sim::Time mc_start = std::max(t, mc_busy);
-  tx.breakdown.charge(kBdMcWait, mc_start - t);
-  tx.breakdown.charge(kBdMemAccess, mem_access);
+  const sim::Time mc_wait = mc_start - t;
   mc_busy = mc_start + mem_access;
-  t = mc_start + mem_access;
 
   // Return: read carries payload back; write returns a short ack.
   const std::uint32_t back_bytes = kind == TransactionKind::kRead ? bytes : 0;
-  const sim::Time back_ser = serialization_time(back_bytes, medium, lanes);
-  tx.breakdown.charge(kBdSerialization, back_ser);
-  tx.breakdown.charge(kBdSerdesReturn, serdes * 2);
-  tx.breakdown.charge(wire, propagation);
-  t += back_ser + serdes * 2 + propagation;
+  const sim::Time back_ser = serialization_time(back_bytes, link->medium, link->lanes);
+  t = mc_start + mem_access + back_ser + serdes * 2 + propagation;
+
+  // The Fig. 8 breakdown, written once in pipeline (first-appearance)
+  // order; serialization and propagation sum both directions.
+  tx.breakdown.append(kBdCircuitWait, circuit_wait);
+  tx.breakdown.append(kBdSerialization, out_ser + back_ser);
+  tx.breakdown.append(kBdSerdesTx, serdes);
+  tx.breakdown.append(electrical ? kBdElectricalProp : kBdOpticalProp, propagation * 2);
+  tx.breakdown.append(kBdSerdesRx, serdes);
+  tx.breakdown.append(kBdGlueLogic, latencies_.glue_logic);
+  tx.breakdown.append(kBdMcWait, mc_wait);
+  tx.breakdown.append(kBdMemAccess, mem_access);
+  tx.breakdown.append(kBdSerdesReturn, serdes * 2);
 
   tx.completed_at = t;
   return tx;
@@ -1051,8 +1068,8 @@ void RemoteMemoryFabric::check_invariants() const {
                           std::to_string(link_lanes) + "-lane link");
   }
 
-  // No link record or cable-busy entry outlives its last rider: anything
-  // else is a leaked circuit, switch port or transceiver port.
+  // No link outlives its last rider: anything else is a leaked circuit,
+  // switch port or transceiver port.
   const auto ridden = [&](hw::CircuitId id) {
     return std::any_of(attachments_.begin(), attachments_.end(),
                        [&](const Attachment& a) { return a.circuit == id; });
@@ -1067,10 +1084,31 @@ void RemoteMemoryFabric::check_invariants() const {
   for (const auto& link : packet_) {
     DREDBOX_INVARIANT(ridden(link.id), "packet link " + link.id.to_string() + " leaked");
   }
-  // dredbox-lint: ignore[unordered-iteration] -- existence check only.
-  for (const auto& [id, busy] : circuit_busy_until_) {
-    DREDBOX_INVARIANT(ridden(hw::CircuitId{id}),
-                      "cable-busy record of link " + std::to_string(id) + " leaked");
+
+  // Link records: every live link has exactly one, and every record names
+  // a live, ridden link and agrees with it (audit_link's slow resolution).
+  const auto records = [&](hw::CircuitId id) {
+    return std::count_if(link_records_.begin(), link_records_.end(),
+                         [&](const LinkRecord& l) { return l.id == id; });
+  };
+  for (const auto& link : electrical_) {
+    DREDBOX_INVARIANT(records(link.id) == 1,
+                      "electrical link " + link.id.to_string() + " needs one link record");
+  }
+  for (const auto& link : packet_) {
+    DREDBOX_INVARIANT(records(link.id) == 1,
+                      "packet link " + link.id.to_string() + " needs one link record");
+  }
+  for (const auto& a : attachments_) {
+    if (a.medium == LinkMedium::kOptical && circuits_.find_ref(a.circuit) != nullptr) {
+      DREDBOX_INVARIANT(records(a.circuit) == 1,
+                        "optical link " + a.circuit.to_string() + " needs one link record");
+    }
+  }
+  for (const auto& record : link_records_) {
+    DREDBOX_INVARIANT(ridden(record.id),
+                      "link record " + record.id.to_string() + " outlives its last rider");
+    audit_link(record.id, &record);
   }
 
   // Fabric-owned link endpoints must still hold their transceiver ports.
@@ -1083,6 +1121,41 @@ void RemoteMemoryFabric::check_invariants() const {
                         "electrical link lane rides a disconnected transceiver port");
     }
   }
+}
+
+void RemoteMemoryFabric::audit_link(hw::CircuitId id, const LinkRecord* record) const {
+  // Resolve the link the slow way: the per-medium link tables, the circuit
+  // manager, and the lane count the riding attachments record.
+  std::optional<LinkMedium> medium;
+  sim::Time propagation;
+  if (find_packet(id) != nullptr) {
+    medium = LinkMedium::kPacket;
+  } else if (find_electrical(id) != nullptr) {
+    medium = LinkMedium::kElectrical;
+    propagation = latencies_.electrical_propagation;
+  } else if (const optics::Circuit* circuit = circuits_.find_ref(id); circuit != nullptr) {
+    medium = LinkMedium::kOptical;
+    propagation = circuit->propagation_delay();
+  }
+  if (!medium) {
+    DREDBOX_INVARIANT(record == nullptr, "link record " + id.to_string() + " outlives its link");
+    return;
+  }
+  DREDBOX_INVARIANT(record != nullptr, "live link " + id.to_string() + " has no link record");
+  DREDBOX_INVARIANT(record->medium == *medium,
+                    "link record " + id.to_string() + " names the wrong medium");
+  if (*medium == LinkMedium::kPacket) return;  // the packet model owns its timing
+  std::size_t lanes = 1;
+  for (const auto& a : attachments_) {
+    if (a.circuit == id) {
+      lanes = a.lanes;
+      break;
+    }
+  }
+  DREDBOX_INVARIANT(record->lanes == lanes && record->propagation == propagation,
+                    "link record " + id.to_string() + " disagrees with its link: " +
+                        std::to_string(record->lanes) + " vs " + std::to_string(lanes) +
+                        " lanes");
 }
 
 Transaction RemoteMemoryFabric::read(hw::BrickId compute, std::uint64_t address,

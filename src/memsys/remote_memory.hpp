@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/rack.hpp"
@@ -208,14 +207,18 @@ class RemoteMemoryFabric {
 
   /// Number of live electrical intra-tray links (for introspection).
   std::size_t electrical_links() const { return electrical_.size(); }
+  /// Number of link records the datapath resolves links through: one per
+  /// live link of any medium (for introspection).
+  std::size_t link_records() const { return link_records_.size(); }
 
   /// Deep consistency audit of the control-plane state: every attachment
   /// references live bricks of the right kinds, its segment is really
   /// carved on the dMEMBRICK for the attached dCOMPUBRICK, the matching
   /// RMST entry is installed at the compute side, link records agree with
   /// the medium and the attachment's lane count, no (compute, segment)
-  /// pair is attached twice, and no link record or cable-busy entry
-  /// outlives its last rider (a leak). Optical circuits are allowed to be
+  /// pair is attached twice, no link outlives its last rider (a leak), and
+  /// every live link has exactly one datapath link record that agrees with
+  /// it while no record outlives its link. Optical circuits are allowed to be
   /// absent (fail_circuit() models fibre cuts; transactions then report
   /// kCircuitDown, and the dead circuit still counts as ridden). Throws
   /// ContractViolation on the first broken invariant. Wired into every
@@ -258,11 +261,23 @@ class RemoteMemoryFabric {
   std::vector<ElectricalLink> electrical_;
   std::vector<OpticalBond> bonds_;
   std::vector<PacketLink> packet_;
-  /// Per-circuit cable occupancy for serialization contention.
-  std::unordered_map<std::uint32_t, sim::Time> circuit_busy_until_;
-  /// Per-(dMEMBRICK, controller) occupancy: a brick dimensioned with more
-  /// memory controllers serves more concurrent transactions (Section II).
-  std::unordered_map<std::uint64_t, sim::Time> controller_busy_until_;
+  /// What the per-op datapath needs of one live link, resolved by one scan
+  /// keyed on the id the RMST entry carries (a bond's primary). Made by
+  /// the wire_* helpers and dropped on the release path, so a missing
+  /// record means the link is down.
+  struct LinkRecord {
+    hw::CircuitId id;
+    LinkMedium medium = LinkMedium::kOptical;
+    std::size_t lanes = 1;
+    sim::Time propagation;  // one way
+    sim::Time busy_until;   // cable occupancy for serialization contention
+  };
+  std::vector<LinkRecord> link_records_;
+  /// Per-(dMEMBRICK, controller) occupancy, indexed [brick id][controller]:
+  /// a brick dimensioned with more memory controllers serves more
+  /// concurrent transactions (Section II). A brick's row is sized when it
+  /// first gets a segment and is kept for the fabric's lifetime.
+  std::vector<std::vector<sim::Time>> mc_busy_until_;
   AttachError last_error_ = AttachError::kNoMemory;
   std::optional<sim::RetryPolicy> retry_policy_;
   /// Electrical and packet link ids live in ranges the optical manager
@@ -319,9 +334,16 @@ class RemoteMemoryFabric {
   /// Tears link `id` down when no attachment rides it, whatever its medium.
   void release_if_unused(hw::CircuitId id);
   /// Tears every live lane of the optical link `lane` belongs to (a bond
-  /// dies whole), freeing brick ports and cable-busy records. Returns
-  /// whether any lane was still live.
+  /// dies whole), freeing brick ports and link records. Returns whether
+  /// any lane was still live.
   bool tear_optical(hw::CircuitId lane);
+  LinkRecord* find_link(hw::CircuitId id);
+  void drop_link(hw::CircuitId id);
+  /// Sizes `membrick`'s row of the controller occupancy table.
+  void track_controllers(hw::BrickId membrick);
+  /// Checks the record execute_path resolved for `id` against the slow
+  /// resolution from the link tables, the circuit manager and the riders.
+  void audit_link(hw::CircuitId id, const LinkRecord* record) const;
   Transaction execute(TransactionKind kind, hw::BrickId compute, std::uint64_t address,
                       std::uint32_t bytes, sim::Time when, const sim::TraceContext& parent);
   Transaction execute_path(TransactionKind kind, hw::BrickId compute, std::uint64_t address,

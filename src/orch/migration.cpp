@@ -7,6 +7,17 @@
 
 namespace dredbox::orch {
 
+namespace {
+
+// Interned breakdown components for the VM migration phases.
+const sim::ComponentId kBdRepointPrep = sim::component_id("re-point preparation (overlapped)");
+const sim::ComponentId kBdPreCopy = sim::component_id("pre-copy (local memory)");
+const sim::ComponentId kBdStopAndCopy = sim::component_id("stop-and-copy (residual)");
+const sim::ComponentId kBdGlueSwitchover = sim::component_id("glue-logic switchover");
+const sim::ComponentId kBdPauseResume = sim::component_id("pause/resume");
+
+}  // namespace
+
 MigrationEngine::MigrationEngine(hw::Rack& rack, memsys::RemoteMemoryFabric& fabric,
                                  SdmController& sdm, const MigrationConfig& config)
     : rack_{rack}, fabric_{fabric}, sdm_{sdm}, config_{config} {
@@ -178,7 +189,7 @@ MigrationResult MigrationEngine::migrate_impl(hw::VmId vm, hw::BrickId from, hw:
     prep += hp + hv_add;
     result.repointed_bytes += a.size;
   }
-  result.breakdown.charge("re-point preparation (overlapped)", prep);
+  result.breakdown.charge(kBdRepointPrep, prep);
 
   // --- pre-copy rounds over the local portion (guest keeps running) ---
   double remaining = static_cast<double>(local);
@@ -194,7 +205,7 @@ MigrationResult MigrationEngine::migrate_impl(hw::VmId vm, hw::BrickId from, hw:
     ++iterations;
   }
   result.precopy_iterations = iterations;
-  result.breakdown.charge("pre-copy (local memory)", precopy);
+  result.breakdown.charge(kBdPreCopy, precopy);
 
   // Elapsed so far: preparation and pre-copy proceed concurrently.
   sim::Time t = now + std::max(prep, precopy);
@@ -204,13 +215,13 @@ MigrationResult MigrationEngine::migrate_impl(hw::VmId vm, hw::BrickId from, hw:
   const sim::Time downtime_start = t;
   t += config_.pause_resume / 2;
   const sim::Time residual = sim::Time::sec(remaining / bw);
-  result.breakdown.charge("stop-and-copy (residual)", residual);
+  result.breakdown.charge(kBdStopAndCopy, residual);
   t += residual;
   copied += remaining;
-  result.breakdown.charge("glue-logic switchover", sdm_.timing().glue_configure);
+  result.breakdown.charge(kBdGlueSwitchover, sdm_.timing().glue_configure);
   t += sdm_.timing().glue_configure;
   t += config_.pause_resume / 2;
-  result.breakdown.charge("pause/resume", config_.pause_resume);
+  result.breakdown.charge(kBdPauseResume, config_.pause_resume);
   result.downtime = t - downtime_start;
 
   src_hv.destroy_vm(vm);

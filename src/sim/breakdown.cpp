@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/contract.hpp"
 #include "sim/format.hpp"
 
 namespace dredbox::sim {
@@ -15,20 +14,6 @@ std::size_t Breakdown::find(ComponentId component) const {
     if (ids_[i] == component) return i;
   }
   return count_;
-}
-
-void Breakdown::append(ComponentId component, Time amount) {
-  DREDBOX_INVARIANT(count_ < kMaxComponents,
-                    "Breakdown overflow: one op charged more than kMaxComponents "
-                    "distinct components — grow kMaxComponents only if the "
-                    "pipeline genuinely grew");
-  ids_[count_] = component;
-  times_[count_] = amount;
-  ++count_;
-}
-
-void Breakdown::charge(std::string_view component, Time amount) {
-  charge(component_id(component), amount);
 }
 
 Time Breakdown::total() const {

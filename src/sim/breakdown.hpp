@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sim/component.hpp"
+#include "sim/contract.hpp"
 #include "sim/time.hpp"
 
 namespace dredbox::sim {
@@ -17,12 +18,16 @@ namespace dredbox::sim {
 /// its share under a stable component name, and the report preserves the
 /// order in which components first appeared (i.e., pipeline order).
 ///
-/// Storage is a fixed inline array keyed by interned ComponentId (ISSUE
-/// 9b): a Breakdown embedded in a pooled Transaction or Packet never heap-
-/// allocates, and the hot charge sites compare 2-byte ids instead of
-/// strings. The string-keyed API remains as a compatibility shim (it
-/// interns through the global component registry — a lock-free scan for
-/// every label the datapath ships).
+/// Storage is a fixed inline array keyed by interned ComponentId: a
+/// Breakdown embedded in a pooled Transaction or Packet never heap-
+/// allocates, and every writer charges by a 2-byte id it interned once at
+/// namespace scope. Reporting lookups (of/has) still accept labels.
+///
+/// Two writers: charge() searches for the component and accumulates, for
+/// sites where components repeat or arrive in no fixed order (per-hop
+/// packet traversal, retry merges); append() writes a component known to
+/// be new, for a pipeline that sums its stages first and writes each once
+/// in order (the fabric's per-transaction datapath).
 class Breakdown {
  public:
   /// Distinct components one op can accumulate. The widest real path (a
@@ -31,9 +36,8 @@ class Breakdown {
   /// an invariant violation, not a reallocation.
   static constexpr std::size_t kMaxComponents = 24;
 
-  /// Adds `amount` under the interned component — the hot-path overload;
-  /// the datapath caches ids at namespace scope and charges by id. The hit
-  /// path is inline; only a first charge of a component leaves the header.
+  /// Adds `amount` under the interned component, appending it on its first
+  /// charge.
   void charge(ComponentId component, Time amount) {
     for (std::size_t i = 0; i < count_; ++i) {
       if (ids_[i] == component) {
@@ -44,11 +48,18 @@ class Breakdown {
     append(component, amount);
   }
 
-  /// Compatibility shim: interns `component` and charges by id. Still
-  /// allocation-free for every label the datapath ships (known labels
-  /// resolve with a lock-free registry scan); a copy is made only the
-  /// first time a process-new label appears, inside the registry.
-  void charge(std::string_view component, Time amount);
+  /// Appends a component that is not yet present, without searching for
+  /// it (the search is an audit-build precondition check only).
+  void append(ComponentId component, Time amount) {
+    DREDBOX_REQUIRE(!has(component), "Breakdown::append: component already charged");
+    DREDBOX_INVARIANT(count_ < kMaxComponents,
+                      "Breakdown overflow: one op charged more than kMaxComponents "
+                      "distinct components — grow kMaxComponents only if the "
+                      "pipeline genuinely grew");
+    ids_[count_] = component;
+    times_[count_] = amount;
+    ++count_;
+  }
 
   /// Sum over all components.
   Time total() const;
@@ -90,8 +101,6 @@ class Breakdown {
  private:
   /// Index of `component` in ids_, or count_ if absent.
   std::size_t find(ComponentId component) const;
-  /// Adds a component not yet present.
-  void append(ComponentId component, Time amount);
 
   ComponentId ids_[kMaxComponents];
   Time times_[kMaxComponents];

@@ -79,7 +79,7 @@ constexpr std::string_view kKnownLabels[] = {
 /// under `mu_` and publish with a release store of `count_`; readers scan
 /// the first `count_` entries lock-free — each labels_[i] below count_ was
 /// fully constructed before the release store that made it visible, so
-/// the parallel sweep's charge shims never contend on the mutex for
+/// the parallel sweep's label lookups never contend on the mutex for
 /// labels that already exist.
 class Registry {
  public:

@@ -19,10 +19,9 @@ namespace dredbox::sim {
 using ComponentId = std::uint16_t;
 
 /// Interns `label`, returning its stable id. Idempotent: the same label
-/// always maps to the same id for the life of the process. Hot charge
-/// sites call this once at namespace scope and cache the id; the
-/// Breakdown::charge(string_view) compatibility shim calls it per charge
-/// (lookup only — known labels never take the insertion path).
+/// always maps to the same id for the life of the process. Charge sites
+/// call this once at namespace scope and cache the id (known labels never
+/// take the insertion path).
 ComponentId component_id(std::string_view label);
 
 /// Id for `label` if it has ever been interned, std::nullopt otherwise.

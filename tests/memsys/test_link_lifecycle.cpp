@@ -1,7 +1,8 @@
 // Link lifecycle regressions: a control-plane path that wires or releases
 // a pair link (here: migration, and a failed bond lane) hands back every
-// port it took, and an attachment record always describes the link it
-// rides.
+// port it took, an attachment record always describes the link it rides,
+// and the link record the datapath resolves follows the link through
+// failure, repair, packet failover and detach.
 
 #include <gtest/gtest.h>
 
@@ -51,6 +52,7 @@ class LinkLifecycleTest : public ::testing::Test {
     EXPECT_EQ(circuits_.active_circuits(), 0u);
     EXPECT_EQ(fabric_.electrical_links(), 0u);
     EXPECT_EQ(fabric_.packet_links(), 0u);
+    EXPECT_EQ(fabric_.link_records(), 0u);
     for (hw::BrickId b : {compute_a_, membrick_, compute_b_}) {
       EXPECT_EQ(used_ports(b), 0u) << "brick " << b.to_string();
     }
@@ -136,6 +138,84 @@ TEST_F(LinkLifecycleTest, FailingASiblingLaneTearsTheWholeBond) {
   ASSERT_TRUE(healed.has_value());
   EXPECT_EQ(healed->lanes, 3u);
   ASSERT_TRUE(fabric_.detach(compute_a_, a.segment));
+  expect_pristine();
+}
+
+TEST_F(LinkLifecycleTest, ReadAfterFailCircuitIsCircuitDown) {
+  const Attachment a = attach(1);
+  ASSERT_TRUE(fabric_.read(compute_a_, a.compute_base, 64, Time::ms(1)).ok());
+  ASSERT_TRUE(fabric_.fail_circuit(a.circuit));
+  EXPECT_EQ(fabric_.link_records(), 0u);
+  EXPECT_EQ(fabric_.read(compute_a_, a.compute_base, 64, Time::ms(2)).status,
+            TransactionStatus::kCircuitDown);
+  EXPECT_NO_THROW(fabric_.check_invariants());
+}
+
+TEST_F(LinkLifecycleTest, RepairedLinkLanesAndPropagationShowInTheBreakdown) {
+  AttachRequest req;
+  req.compute = compute_a_;
+  req.membrick = membrick_;
+  req.bytes = kGiB;
+  req.lanes = 3;
+  req.fiber_length_m = 30.0;
+  const auto a = fabric_.attach(req, Time::zero());
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(fabric_.fail_circuit(a->circuit));
+
+  // Leave the compute brick one free port, so the repair re-bonds a single
+  // lane over the same 30 m fibre run.
+  while (rack_.brick(compute_a_).free_port_count(/*circuit_based=*/true) > 1) {
+    rack_.brick(compute_a_).find_free_port(/*circuit_based=*/true)->connected = true;
+  }
+  const auto healed = fabric_.repair(compute_a_, a->segment, Time::ms(1));
+  ASSERT_TRUE(healed.has_value());
+  ASSERT_EQ(healed->lanes, 1u);
+  ASSERT_NE(healed->circuit, a->circuit);
+
+  const Transaction tx = fabric_.read(compute_a_, a->compute_base, 64, Time::ms(2));
+  ASSERT_TRUE(tx.ok());
+  // One lane at 10 Gb/s: the 4 B header out, (64 + 4) B back.
+  EXPECT_EQ(tx.breakdown.of("serialization"), Time::ps(57600));
+  // 30 m of fibre at 5 ns/m, each way.
+  EXPECT_EQ(tx.breakdown.of("optical propagation"), Time::ns(300));
+  EXPECT_NO_THROW(fabric_.check_invariants());
+}
+
+TEST_F(LinkLifecycleTest, ReadAfterPacketFailoverTakesThePacketPath) {
+  const Attachment a = attach(1);
+  ASSERT_TRUE(fabric_.fail_circuit(a.circuit));
+  const auto moved = fabric_.failover_to_packet(compute_a_, a.segment, Time::ms(1));
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(fabric_.link_records(), 1u);
+
+  const Transaction tx = fabric_.read(compute_a_, a.compute_base, 64, Time::ms(2));
+  ASSERT_TRUE(tx.ok());
+  EXPECT_TRUE(tx.breakdown.has("MAC/PHY (dCOMPUBRICK)"));
+  EXPECT_FALSE(tx.breakdown.has("GTH serdes (TX)"));
+  EXPECT_EQ(tx.breakdown.total(), tx.round_trip());
+}
+
+TEST_F(LinkLifecycleTest, ReadAfterABondSiblingIsTornIsCircuitDown) {
+  const Attachment a = attach(3);
+  const hw::CircuitId sibling{a.circuit.value + 1};
+  const auto circuit = circuits_.find(sibling);
+  ASSERT_TRUE(circuit.has_value());
+  // A switch port under the sibling dies: the manager tears the sibling
+  // behind the fabric's back and hands it over for brick-side cleanup.
+  fabric_.on_circuits_torn(circuits_.fail_switch_port(circuit->switch_ports.front()));
+  EXPECT_EQ(circuits_.active_circuits(), 0u);
+  EXPECT_EQ(fabric_.link_records(), 0u);
+  EXPECT_EQ(fabric_.read(compute_a_, a.compute_base, 64, Time::ms(1)).status,
+            TransactionStatus::kCircuitDown);
+  EXPECT_NO_THROW(fabric_.check_invariants());
+}
+
+TEST_F(LinkLifecycleTest, DetachLeavesNoLinkRecord) {
+  const Attachment a = attach(3);
+  EXPECT_EQ(fabric_.link_records(), 1u);
+  ASSERT_TRUE(fabric_.read(compute_a_, a.compute_base, 64, Time::ms(1)).ok());
+  ASSERT_TRUE(fabric_.detach(compute_a_, a.segment));
+  EXPECT_EQ(fabric_.link_records(), 0u);
   expect_pristine();
 }
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "net/packet_network.hpp"
+
 namespace dredbox::memsys {
 namespace {
 
@@ -414,6 +421,204 @@ TEST_F(IntraTrayMemoryTest, SecondSegmentSharesElectricalLink) {
   EXPECT_EQ(fabric_.electrical_links(), 1u);  // still used by a2
   fabric_.detach(compute_, a2->segment);
   EXPECT_EQ(fabric_.electrical_links(), 0u);
+}
+
+// Pinned Fig. 8 breakdowns: exact labels in order, each component's value
+// in ps, and total() == round_trip(). The expected values were produced by
+// the per-stage charge sequence execute_path used before it wrote each
+// breakdown once; a reordered or re-summed breakdown fails here even when
+// has()/of() spot checks would pass.
+using Entries = std::vector<std::pair<std::string, std::int64_t>>;
+
+/// One dCOMPUBRICK with four serving dMEMBRICKs, one per link kind the
+/// datapath resolves: an electrical intra-tray link, a 1-lane optical
+/// circuit, a 3-lane optical bond and a packet-failover attachment. Each
+/// rides its own brick, so controller occupancy never leaks between cases.
+class PinnedBreakdownTest : public ::testing::Test {
+ protected:
+  PinnedBreakdownTest() : circuits_{switch_}, fabric_{rack_, circuits_} {
+    const hw::TrayId tray_a = rack_.add_tray();
+    const hw::TrayId tray_b = rack_.add_tray();
+    compute_ = rack_.add_compute_brick(tray_a).id();
+    electrical_ = rack_.add_memory_brick(tray_a).id();
+    optical_ = rack_.add_memory_brick(tray_b).id();
+    bonded_ = rack_.add_memory_brick(tray_b).id();
+    packet_ = rack_.add_memory_brick(tray_b).id();
+    for (hw::BrickId b : {compute_, packet_}) packet_net_.add_brick(b);
+    fabric_.set_packet_network(&packet_net_);
+  }
+
+  Attachment attach(hw::BrickId membrick, std::size_t lanes = 1) {
+    AttachRequest req;
+    req.compute = compute_;
+    req.membrick = membrick;
+    req.bytes = 1ull << 30;
+    req.lanes = lanes;
+    auto a = fabric_.attach(req, Time::zero());
+    EXPECT_TRUE(a.has_value());
+    return *a;
+  }
+
+  /// (label, ps) per component, in breakdown order.
+  static Entries entries(const Transaction& tx) {
+    Entries out;
+    for (const auto& [label, t] : tx.breakdown.components()) {
+      out.emplace_back(std::string{label}, t.ticks());
+    }
+    return out;
+  }
+
+  hw::Rack rack_;
+  optics::OpticalSwitch switch_;
+  optics::CircuitManager circuits_;
+  RemoteMemoryFabric fabric_;
+  net::PacketNetwork packet_net_;
+  hw::BrickId compute_;
+  hw::BrickId electrical_;
+  hw::BrickId optical_;
+  hw::BrickId bonded_;
+  hw::BrickId packet_;
+};
+
+TEST_F(PinnedBreakdownTest, ElectricalLink) {
+  const Attachment a = attach(electrical_);
+  ASSERT_EQ(a.medium, LinkMedium::kElectrical);
+  const Transaction rd = fabric_.read(compute_, a.compute_base, 64, Time::zero());
+  const Transaction wr = fabric_.write(compute_, a.compute_base, 256, Time::ms(1));
+  EXPECT_EQ(entries(rd), (Entries{{"TGL lookup (RMST)", 25000},
+                                  {"circuit wait", 0},
+                                  {"serialization", 36000},
+                                  {"GTH serdes (TX)", 30000},
+                                  {"electrical propagation", 4000},
+                                  {"GTH serdes (RX)", 30000},
+                                  {"glue logic (dMEMBRICK)", 40000},
+                                  {"memory controller wait", 0},
+                                  {"memory access", 63200},
+                                  {"GTH serdes (return)", 60000}}));
+  EXPECT_EQ(entries(wr), (Entries{{"TGL lookup (RMST)", 25000},
+                                  {"circuit wait", 0},
+                                  {"serialization", 132000},
+                                  {"GTH serdes (TX)", 30000},
+                                  {"electrical propagation", 4000},
+                                  {"GTH serdes (RX)", 30000},
+                                  {"glue logic (dMEMBRICK)", 40000},
+                                  {"memory controller wait", 0},
+                                  {"memory access", 72800},
+                                  {"GTH serdes (return)", 60000}}));
+  EXPECT_EQ(rd.round_trip(), Time::ps(288200));
+  EXPECT_EQ(wr.round_trip(), Time::ps(393800));
+  EXPECT_EQ(rd.breakdown.total(), rd.round_trip());
+  EXPECT_EQ(wr.breakdown.total(), wr.round_trip());
+}
+
+TEST_F(PinnedBreakdownTest, SingleLaneOpticalLink) {
+  const Attachment a = attach(optical_);
+  ASSERT_EQ(a.medium, LinkMedium::kOptical);
+  const Transaction rd = fabric_.read(compute_, a.compute_base, 64, Time::zero());
+  const Transaction wr = fabric_.write(compute_, a.compute_base, 256, Time::ms(1));
+  EXPECT_EQ(entries(rd), (Entries{{"TGL lookup (RMST)", 25000},
+                                  {"circuit wait", 0},
+                                  {"serialization", 57600},
+                                  {"GTH serdes (TX)", 50000},
+                                  {"optical propagation", 100000},
+                                  {"GTH serdes (RX)", 50000},
+                                  {"glue logic (dMEMBRICK)", 40000},
+                                  {"memory controller wait", 0},
+                                  {"memory access", 63200},
+                                  {"GTH serdes (return)", 100000}}));
+  EXPECT_EQ(entries(wr), (Entries{{"TGL lookup (RMST)", 25000},
+                                  {"circuit wait", 0},
+                                  {"serialization", 211200},
+                                  {"GTH serdes (TX)", 50000},
+                                  {"optical propagation", 100000},
+                                  {"GTH serdes (RX)", 50000},
+                                  {"glue logic (dMEMBRICK)", 40000},
+                                  {"memory controller wait", 0},
+                                  {"memory access", 72800},
+                                  {"GTH serdes (return)", 100000}}));
+  EXPECT_EQ(rd.round_trip(), Time::ps(485800));
+  EXPECT_EQ(wr.round_trip(), Time::ps(649000));
+  EXPECT_EQ(rd.breakdown.total(), rd.round_trip());
+  EXPECT_EQ(wr.breakdown.total(), wr.round_trip());
+}
+
+TEST_F(PinnedBreakdownTest, ThreeLaneOpticalBond) {
+  const Attachment a = attach(bonded_, 3);
+  ASSERT_EQ(a.lanes, 3u);
+  const Transaction rd = fabric_.read(compute_, a.compute_base, 4096, Time::zero());
+  const Transaction wr = fabric_.write(compute_, a.compute_base, 4096, Time::ms(1));
+  // Serialization stripes over three lanes: (4096 + 4) B and the 4 B
+  // header at 30 Gb/s.
+  const Entries expected{{"TGL lookup (RMST)", 25000},
+                         {"circuit wait", 0},
+                         {"serialization", 1094400},
+                         {"GTH serdes (TX)", 50000},
+                         {"optical propagation", 100000},
+                         {"GTH serdes (RX)", 50000},
+                         {"glue logic (dMEMBRICK)", 40000},
+                         {"memory controller wait", 0},
+                         {"memory access", 264800},
+                         {"GTH serdes (return)", 100000}};
+  EXPECT_EQ(entries(rd), expected);
+  EXPECT_EQ(entries(wr), expected);
+  EXPECT_EQ(rd.round_trip(), Time::ps(1724200));
+  EXPECT_EQ(rd.breakdown.total(), rd.round_trip());
+  EXPECT_EQ(wr.breakdown.total(), wr.round_trip());
+}
+
+TEST_F(PinnedBreakdownTest, BackToBackReadsWaitForCircuitAndController) {
+  const Attachment a = attach(optical_);
+  const Transaction first = fabric_.read(compute_, a.compute_base, 65536, Time::ms(2));
+  const Transaction second = fabric_.read(compute_, a.compute_base, 65536, Time::ms(2));
+  EXPECT_EQ(first.breakdown.of("circuit wait"), Time::zero());
+  EXPECT_EQ(first.breakdown.of("memory controller wait"), Time::zero());
+  EXPECT_EQ(first.round_trip(), Time::ps(56137000));
+  // The second request queues behind the first's header on the cable and
+  // behind its 64 KiB burst at the shared memory controller.
+  EXPECT_EQ(entries(second), (Entries{{"TGL lookup (RMST)", 25000},
+                                      {"circuit wait", 3200},
+                                      {"serialization", 52435200},
+                                      {"GTH serdes (TX)", 50000},
+                                      {"optical propagation", 100000},
+                                      {"GTH serdes (RX)", 50000},
+                                      {"glue logic (dMEMBRICK)", 40000},
+                                      {"memory controller wait", 3333600},
+                                      {"memory access", 3336800},
+                                      {"GTH serdes (return)", 100000}}));
+  EXPECT_EQ(second.round_trip(), Time::ps(59473800));
+  EXPECT_EQ(first.breakdown.total(), first.round_trip());
+  EXPECT_EQ(second.breakdown.total(), second.round_trip());
+}
+
+TEST_F(PinnedBreakdownTest, PacketFailoverAttachment) {
+  const Attachment a = attach(packet_);
+  ASSERT_TRUE(fabric_.failover_to_packet(compute_, a.segment, Time::zero()).has_value());
+  const Transaction rd = fabric_.read(compute_, a.compute_base, 64, Time::ms(3));
+  const Transaction wr = fabric_.write(compute_, a.compute_base, 256, Time::ms(4));
+  EXPECT_EQ(entries(rd), (Entries{{"TGL lookup (RMST)", 25000},
+                                  {"TGL / NI injection", 25000},
+                                  {"on-brick switch (dCOMPUBRICK)", 85000},
+                                  {"serialization", 64000},
+                                  {"MAC/PHY (dCOMPUBRICK)", 470000},
+                                  {"optical propagation", 100000},
+                                  {"MAC/PHY (dMEMBRICK)", 470000},
+                                  {"glue logic (dMEMBRICK)", 40000},
+                                  {"memory access", 60000},
+                                  {"on-brick switch (dMEMBRICK)", 85000}}));
+  EXPECT_EQ(entries(wr), (Entries{{"TGL lookup (RMST)", 25000},
+                                  {"TGL / NI injection", 25000},
+                                  {"on-brick switch (dCOMPUBRICK)", 85000},
+                                  {"serialization", 217600},
+                                  {"MAC/PHY (dCOMPUBRICK)", 470000},
+                                  {"optical propagation", 100000},
+                                  {"MAC/PHY (dMEMBRICK)", 470000},
+                                  {"glue logic (dMEMBRICK)", 40000},
+                                  {"memory access", 60000},
+                                  {"on-brick switch (dMEMBRICK)", 85000}}));
+  EXPECT_EQ(rd.round_trip(), Time::ps(1424000));
+  EXPECT_EQ(wr.round_trip(), Time::ps(1577600));
+  EXPECT_EQ(rd.breakdown.total(), rd.round_trip());
+  EXPECT_EQ(wr.breakdown.total(), wr.round_trip());
 }
 
 }  // namespace

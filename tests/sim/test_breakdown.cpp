@@ -13,9 +13,9 @@ TEST(BreakdownTest, EmptyTotalIsZero) {
 
 TEST(BreakdownTest, ChargeAccumulatesPerComponent) {
   Breakdown b;
-  b.charge("mac", Time::ns(100));
-  b.charge("phy", Time::ns(50));
-  b.charge("mac", Time::ns(25));
+  b.charge(component_id("mac"), Time::ns(100));
+  b.charge(component_id("phy"), Time::ns(50));
+  b.charge(component_id("mac"), Time::ns(25));
   EXPECT_EQ(b.of("mac"), Time::ns(125));
   EXPECT_EQ(b.of("phy"), Time::ns(50));
   EXPECT_EQ(b.total(), Time::ns(175));
@@ -24,11 +24,25 @@ TEST(BreakdownTest, ChargeAccumulatesPerComponent) {
 
 TEST(BreakdownTest, PreservesFirstAppearanceOrder) {
   Breakdown b;
-  b.charge("z-late", Time::ns(1));
-  b.charge("a-early", Time::ns(1));
-  b.charge("z-late", Time::ns(1));
+  b.charge(component_id("z-late"), Time::ns(1));
+  b.charge(component_id("a-early"), Time::ns(1));
+  b.charge(component_id("z-late"), Time::ns(1));
   EXPECT_EQ(b.components()[0].first, "z-late");
   EXPECT_EQ(b.components()[1].first, "a-early");
+}
+
+TEST(BreakdownTest, AppendWritesInCallOrderLikeCharge) {
+  // A pipeline that sums its stages first and appends each once yields the
+  // same entries, in the same order, as charging the stages as they occur.
+  Breakdown charged;
+  charged.charge(component_id("x"), Time::ns(3));
+  charged.charge(component_id("y"), Time::ns(5));
+  charged.charge(component_id("x"), Time::ns(4));
+  Breakdown appended;
+  appended.append(component_id("x"), Time::ns(7));
+  appended.append(component_id("y"), Time::ns(5));
+  EXPECT_EQ(appended.components(), charged.components());
+  EXPECT_EQ(appended.total(), Time::ns(12));
 }
 
 TEST(BreakdownTest, MissingComponentIsZero) {
@@ -39,9 +53,9 @@ TEST(BreakdownTest, MissingComponentIsZero) {
 
 TEST(BreakdownTest, MergeAddsComponentwise) {
   Breakdown a, b;
-  a.charge("x", Time::ns(10));
-  b.charge("x", Time::ns(5));
-  b.charge("y", Time::ns(7));
+  a.charge(component_id("x"), Time::ns(10));
+  b.charge(component_id("x"), Time::ns(5));
+  b.charge(component_id("y"), Time::ns(7));
   a.merge(b);
   EXPECT_EQ(a.of("x"), Time::ns(15));
   EXPECT_EQ(a.of("y"), Time::ns(7));
@@ -50,8 +64,8 @@ TEST(BreakdownTest, MergeAddsComponentwise) {
 
 TEST(BreakdownTest, ScaleAllAverages) {
   Breakdown b;
-  b.charge("x", Time::ns(100));
-  b.charge("y", Time::ns(300));
+  b.charge(component_id("x"), Time::ns(100));
+  b.charge(component_id("y"), Time::ns(300));
   b.scale_all(0.25);
   EXPECT_EQ(b.of("x"), Time::ns(25));
   EXPECT_EQ(b.of("y"), Time::ns(75));
@@ -59,8 +73,8 @@ TEST(BreakdownTest, ScaleAllAverages) {
 
 TEST(BreakdownTest, ToStringContainsComponentsAndTotal) {
   Breakdown b;
-  b.charge("glue logic", Time::ns(40));
-  b.charge("memory access", Time::ns(60));
+  b.charge(component_id("glue logic"), Time::ns(40));
+  b.charge(component_id("memory access"), Time::ns(60));
   const std::string out = b.to_string();
   EXPECT_NE(out.find("glue logic"), std::string::npos);
   EXPECT_NE(out.find("memory access"), std::string::npos);
@@ -70,7 +84,7 @@ TEST(BreakdownTest, ToStringContainsComponentsAndTotal) {
 
 TEST(BreakdownTest, ZeroChargeComponentAppears) {
   Breakdown b;
-  b.charge("queueing", Time::zero());
+  b.charge(component_id("queueing"), Time::zero());
   EXPECT_TRUE(b.has("queueing"));
   EXPECT_EQ(b.total(), Time::zero());
 }

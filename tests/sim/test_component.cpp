@@ -1,8 +1,8 @@
 // Tests for the interned component-label registry (ISSUE 9b) and the
 // Breakdown behaviours that ride on it: deterministic ids for the shipped
-// vocabulary, lock-free lookups that never grow the registry, id/string
-// charge equivalence, clear() for pooled reuse, and the fixed-capacity
-// overflow invariant.
+// vocabulary, lock-free lookups that never grow the registry, id/label
+// query equivalence, clear() for pooled reuse, the fixed-capacity overflow
+// invariant and the append-only writer.
 
 #include "sim/component.hpp"
 
@@ -25,8 +25,8 @@ TEST(ComponentRegistryTest, InterningIsIdempotent) {
 
 TEST(ComponentRegistryTest, ShippedVocabularyIsPreInterned) {
   // The datapath's labels are interned at registry construction, so the
-  // charge(string_view) shim never takes the registry's write lock for
-  // them. A representative label from each charging subsystem:
+  // namespace-scope component_id() calls never take the registry's write
+  // lock for them. A representative label from each charging subsystem:
   const std::size_t before = component_count();
   for (const char* label : {"serialization", "optical propagation",
                             "electrical propagation", "memory access",
@@ -57,17 +57,17 @@ TEST(BreakdownInterningTest, IdAndStringChargesAreEquivalent) {
   const ComponentId id = component_id("serialization");
   Breakdown by_id;
   by_id.charge(id, Time::ns(120));
-  Breakdown by_string;
-  by_string.charge("serialization", Time::ns(120));
-  EXPECT_EQ(by_id.of(id), by_string.of("serialization"));
+  Breakdown by_label;
+  by_label.charge(component_id("serialization"), Time::ns(120));
+  EXPECT_EQ(by_id.of(id), by_label.of("serialization"));
   EXPECT_EQ(by_id.of("serialization"), Time::ns(120));
   EXPECT_TRUE(by_id.has(id));
-  EXPECT_TRUE(by_string.has("serialization"));
+  EXPECT_TRUE(by_label.has("serialization"));
 }
 
 TEST(BreakdownInterningTest, OfUnknownLabelIsZeroWithoutInterning) {
   Breakdown breakdown;
-  breakdown.charge("serialization", Time::ns(5));
+  breakdown.charge(component_id("serialization"), Time::ns(5));
   const std::size_t before = component_count();
   EXPECT_EQ(breakdown.of("no-such-component-ever"), Time::zero());
   EXPECT_FALSE(breakdown.has("no-such-component-ever"));
@@ -77,15 +77,15 @@ TEST(BreakdownInterningTest, OfUnknownLabelIsZeroWithoutInterning) {
 
 TEST(BreakdownInterningTest, ClearResetsForPooledReuse) {
   Breakdown breakdown;
-  breakdown.charge("serialization", Time::ns(10));
-  breakdown.charge("memory access", Time::ns(20));
+  breakdown.charge(component_id("serialization"), Time::ns(10));
+  breakdown.charge(component_id("memory access"), Time::ns(20));
   ASSERT_EQ(breakdown.size(), 2u);
   breakdown.clear();
   EXPECT_TRUE(breakdown.empty());
   EXPECT_EQ(breakdown.total(), Time::zero());
   EXPECT_EQ(breakdown.of("serialization"), Time::zero());
   // Reuse after clear starts a fresh first-appearance order.
-  breakdown.charge("memory access", Time::ns(7));
+  breakdown.charge(component_id("memory access"), Time::ns(7));
   ASSERT_EQ(breakdown.size(), 1u);
   EXPECT_EQ(breakdown.components()[0].first, "memory access");
 }
@@ -93,23 +93,44 @@ TEST(BreakdownInterningTest, ClearResetsForPooledReuse) {
 TEST(BreakdownInterningTest, OverflowPastFixedCapacityTrips) {
   Breakdown breakdown;
   for (std::size_t i = 0; i < Breakdown::kMaxComponents; ++i) {
-    breakdown.charge("test-overflow-" + std::to_string(i), Time::ns(1));
+    breakdown.charge(component_id("test-overflow-" + std::to_string(i)), Time::ns(1));
   }
   EXPECT_EQ(breakdown.size(), Breakdown::kMaxComponents);
   // Re-charging an existing component still works at capacity...
-  breakdown.charge("test-overflow-0", Time::ns(1));
+  breakdown.charge(component_id("test-overflow-0"), Time::ns(1));
   EXPECT_EQ(breakdown.of("test-overflow-0"), Time::ns(2));
   // ...but a 25th distinct component is an invariant violation, not a
   // reallocation: per-op components are a small fixed vocabulary.
-  EXPECT_THROW(breakdown.charge("test-overflow-one-too-many", Time::ns(1)),
+  EXPECT_THROW(breakdown.charge(component_id("test-overflow-one-too-many"), Time::ns(1)),
                ContractViolation);
+}
+
+TEST(BreakdownInterningTest, AppendPastFixedCapacityTrips) {
+  Breakdown breakdown;
+  for (std::size_t i = 0; i < Breakdown::kMaxComponents; ++i) {
+    breakdown.append(component_id("test-overflow-" + std::to_string(i)), Time::ns(1));
+  }
+  EXPECT_THROW(breakdown.append(component_id("test-overflow-one-too-many"), Time::ns(1)),
+               ContractViolation);
+}
+
+TEST(BreakdownInterningTest, AppendOfAPresentComponentIsAPrecondition) {
+  Breakdown breakdown;
+  breakdown.append(component_id("serialization"), Time::ns(1));
+#if DREDBOX_AUDIT_ENABLED
+  EXPECT_THROW(breakdown.append(component_id("serialization"), Time::ns(1)), ContractViolation);
+#else
+  // Release builds trust the caller: the precondition is not searched for.
+  breakdown.append(component_id("serialization"), Time::ns(1));
+  EXPECT_EQ(breakdown.size(), 2u);
+#endif
 }
 
 TEST(BreakdownInterningTest, ComponentsViewsPointAtRegistryStorage) {
   std::string_view serialization_view;
   {
     Breakdown breakdown;
-    breakdown.charge("serialization", Time::ns(3));
+    breakdown.charge(component_id("serialization"), Time::ns(3));
     serialization_view = breakdown.components()[0].first;
   }  // breakdown destroyed; the view must remain valid (registry-owned)
   EXPECT_EQ(serialization_view, "serialization");
