@@ -12,27 +12,23 @@
 // Exit status: 0 on success, 1 when the run breaks conservation
 // (offered != completed + failed), 2 on a usage or config error.
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "cli_args.hpp"
 #include "core/scenario.hpp"
 #include "workload/cluster.hpp"
 
 using namespace dredbox;
+using cli::kMaxCount;
+using cli::kMaxMs;
+using cli::parse_count;
+using cli::parse_real;
 
 namespace {
-
-/// Upper bound on every count flag; the config's own validation (spine
-/// radix and so on) applies tighter limits.
-constexpr std::uint64_t kMaxCount = 4096;
-/// Upper bound on every time flag: 1000 s of simulated time.
-constexpr double kMaxMs = 1e6;
 
 void usage(std::FILE* out) {
   std::fprintf(
@@ -46,30 +42,6 @@ void usage(std::FILE* out) {
       "  --fault-rack N   rack whose spine uplink fails (default: no fault)\n"
       "  --fault-at-ms X  fault onset (default 1)\n"
       "  --fault-for-ms X fault duration (default 1)\n");
-}
-
-/// Parses all of `text` as an unsigned integer in [lo, hi]. Rejects a
-/// sign (strtoull would wrap "-1"), trailing characters and overflow.
-bool parse_count(const char* text, std::uint64_t lo, std::uint64_t hi, std::uint64_t& out) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE || value < lo || value > hi) return false;
-  out = value;
-  return true;
-}
-
-/// Parses all of `text` as a number in [lo, hi] (NaN fails the range).
-bool parse_real(const char* text, double lo, double hi, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !(value >= lo && value <= hi)) {
-    return false;
-  }
-  out = value;
-  return true;
 }
 
 struct Options {

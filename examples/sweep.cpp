@@ -8,17 +8,23 @@
 //   $ ./sweep --threads 2 --seeds 1,2 --trays 1,2 --ratios 0.25,0.75
 //   $ ./sweep --duration-ms 5 --out sweep.json
 //
+// Exit status: 0 when every cell ran and the passes match, 1 otherwise,
+// 2 on a usage or grid error.
+//
 // The JSON report follows the "dredbox-sweep/v1" schema consumed by
 // scripts/bench_reduce.py.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/sweep.hpp"
 #include "sim/digest.hpp"
 #include "sim/format.hpp"
@@ -27,8 +33,16 @@
 #include "workload/sweep_body.hpp"
 
 using namespace dredbox;
+using cli::kMaxCount;
+using cli::kMaxMs;
+using cli::parse_count;
+using cli::parse_real;
 
 namespace {
+
+/// Upper bound on --threads (the parallel pass runs at most one worker
+/// per cell).
+constexpr std::uint64_t kMaxThreads = 256;
 
 std::vector<std::string> split(const std::string& csv) {
   std::vector<std::string> out;
@@ -45,10 +59,23 @@ std::vector<std::string> split(const std::string& csv) {
   return out;
 }
 
-void usage() {
-  std::printf(
+/// Parses every comma-separated item of `csv` with `parse` into `out`.
+template <typename T, typename Parse>
+bool parse_list(const char* csv, std::vector<T>& out, Parse parse) {
+  out.clear();
+  for (const auto& item : split(csv)) {
+    T value{};
+    if (!parse(item.c_str(), value)) return false;
+    out.push_back(value);
+  }
+  return true;
+}
+
+void usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "usage: sweep [options]\n"
-      "  --threads N      workers for the parallel pass (default 4)\n"
+      "  --threads N      workers for the parallel pass, 1-256 (default 4)\n"
       "  --seeds LIST     comma-separated seeds (default 1,2)\n"
       "  --trays LIST     comma-separated rack sizes in trays (default 1,2)\n"
       "  --ratios LIST    comma-separated remote-memory ratios (default 0.25,0.75)\n"
@@ -62,59 +89,70 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t threads = 4;
-  std::string seeds = "1,2";
-  std::string trays = "1,2";
-  std::string ratios = "0.25,0.75";
+  core::SweepGrid grid;
+  grid.seeds = {1, 2};
+  grid.rack_trays = {1, 2};
+  grid.remote_ratios = {0.25, 0.75};
+  std::uint64_t threads = 4;
   std::string faults = "none";
   double duration_ms = 5.0;
-  std::size_t vms = 2;
+  std::uint64_t vms = 2;
   std::string out_path;
   bool skip_parallel = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--threads") {
-      threads = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--seeds") {
-      seeds = value();
-    } else if (arg == "--trays") {
-      trays = value();
-    } else if (arg == "--ratios") {
-      ratios = value();
-    } else if (arg == "--faults") {
-      faults = value();
-    } else if (arg == "--duration-ms") {
-      duration_ms = std::strtod(value().c_str(), nullptr);
-    } else if (arg == "--vms") {
-      vms = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--out") {
-      out_path = value();
-    } else if (arg == "--skip-parallel") {
+    if (arg == "--help" || arg == "-h") {
+      usage(stdout);
+      return 0;
+    }
+    if (arg == "--skip-parallel") {
       skip_parallel = true;
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "sweep: %s needs a value\n", arg.c_str());
+      usage(stderr);
+      return 2;
+    }
+    const char* value = argv[++i];
+    bool ok = true;
+    if (arg == "--threads") {
+      ok = parse_count(value, 1, kMaxThreads, threads);
+    } else if (arg == "--seeds") {
+      ok = parse_list(value, grid.seeds, [](const char* t, std::uint64_t& v) {
+        return parse_count(t, 0, UINT64_MAX, v);
+      });
+    } else if (arg == "--trays") {
+      ok = parse_list(value, grid.rack_trays, [](const char* t, std::size_t& v) {
+        std::uint64_t n = 0;
+        if (!parse_count(t, 1, kMaxCount, n)) return false;
+        v = static_cast<std::size_t>(n);
+        return true;
+      });
+    } else if (arg == "--ratios") {
+      ok = parse_list(value, grid.remote_ratios,
+                      [](const char* t, double& v) { return parse_real(t, 0.0, 1.0, v); });
+    } else if (arg == "--faults") {
+      faults = value;
+    } else if (arg == "--duration-ms") {
+      ok = parse_real(value, 0.0, kMaxMs, duration_ms);
+    } else if (arg == "--vms") {
+      ok = parse_count(value, 1, kMaxCount, vms);
+    } else if (arg == "--out") {
+      out_path = value;
     } else {
-      usage();
-      return arg == "--help" || arg == "-h" ? 0 : 2;
+      std::fprintf(stderr, "sweep: unknown option %s\n", arg.c_str());
+      usage(stderr);
+      return 2;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "sweep: bad value for %s: '%s'\n", arg.c_str(), value);
+      usage(stderr);
+      return 2;
     }
   }
 
-  // --- the grid ---
-  core::SweepGrid grid;
-  grid.seeds.clear();
-  for (const auto& s : split(seeds)) grid.seeds.push_back(std::strtoull(s.c_str(), nullptr, 10));
-  grid.rack_trays.clear();
-  for (const auto& t : split(trays)) {
-    grid.rack_trays.push_back(std::strtoull(t.c_str(), nullptr, 10));
-  }
-  grid.remote_ratios.clear();
-  for (const auto& r : split(ratios)) grid.remote_ratios.push_back(std::strtod(r.c_str(), nullptr));
   grid.fault_plans.clear();
   for (const auto& f : split(faults)) grid.fault_plans.push_back(f == "none" ? "" : f);
 
@@ -142,12 +180,21 @@ int main(int argc, char** argv) {
   analytics.mix = {0.50, 0.30, 0.20};
   shape.tenants.push_back(analytics);
 
-  core::SweepRunner runner{grid, workload::make_sweep_body(shape)};
+  // The runner validates the grid (fault-plan syntax included) and throws
+  // std::invalid_argument listing every error: a usage error.
+  std::optional<core::SweepRunner> runner;
+  try {
+    runner.emplace(grid, workload::make_sweep_body(shape));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sweep: %s\n", e.what());
+    usage(stderr);
+    return 2;
+  }
   // Size the bricks so the heaviest split (3 GiB local + 3 GiB remote per
   // VM, several VMs per brick) fits comfortably.
   core::ScenarioBuilder base;
   base.compute_local_memory_bytes(16ull << 30).memory_pool_bytes(64ull << 30);
-  runner.set_base(base);
+  runner->set_base(base);
 
   std::printf("== dReDBox parameter sweep ==\n");
   std::printf("grid: %zu seeds x %zu rack sizes x %zu remote ratios x %zu fault plans = "
@@ -155,9 +202,9 @@ int main(int argc, char** argv) {
               grid.seeds.size(), grid.rack_trays.size(), grid.remote_ratios.size(),
               grid.fault_plans.size(), grid.size());
   std::printf("workload: %zu tenant classes, %zu VMs each, %.1f ms window per cell\n\n",
-              shape.tenants.size(), vms, duration_ms);
+              shape.tenants.size(), static_cast<std::size_t>(vms), duration_ms);
 
-  const core::SweepReport sequential = runner.run(1);
+  const core::SweepReport sequential = runner->run(1);
   std::printf("sequential:            %zu/%zu cells ok in %.2f s\n", sequential.cells_ok(),
               sequential.cells.size(), sequential.wall_seconds);
 
@@ -165,7 +212,7 @@ int main(int argc, char** argv) {
   core::SweepReport parallel;
   bool match = true;
   if (!skip_parallel) {
-    parallel = runner.run(threads);
+    parallel = runner->run(static_cast<std::size_t>(threads));
     match = core::digests_match(sequential, parallel);
     std::printf("parallel (%zu threads): %zu/%zu cells ok in %.2f s  (speedup %.2fx)\n",
                 parallel.threads, parallel.cells_ok(), parallel.cells.size(),

@@ -3,7 +3,8 @@
 # suite three ways — a plain Release build, an ASan+UBSan build
 # (DREDBOX_SANITIZE) to catch memory and UB bugs, and a DREDBOX_AUDIT=ON
 # build that turns on the contract/invariant layer so every deep
-# check_invariants() audit runs after every mutation. A tsan stage rebuilds
+# check_invariants() audit runs after every mutation (and where a
+# steady-state remote read must still allocate nothing). A tsan stage rebuilds
 # with DREDBOX_SANITIZE=thread and re-runs the concurrency-touching tests
 # (SweepRunner, workload engine, schedule audit) under ThreadSanitizer, and
 # a thread-safety stage builds with clang -Wthread-safety -Werror over the
@@ -47,6 +48,8 @@ run_suite build
 run_suite build-asan -DDREDBOX_SANITIZE="address;undefined" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 run_suite build-audit -DDREDBOX_AUDIT=ON
+echo "== audit-allocs: a steady-state remote read allocates nothing, audits armed"
+bash "$root/scripts/audit_allocs.sh" build-audit
 
 echo "== tsan: concurrency-touching tests under ThreadSanitizer"
 cmake -B "$root/build-tsan" -S "$root" -DDREDBOX_SANITIZE=thread \

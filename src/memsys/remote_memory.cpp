@@ -129,19 +129,16 @@ bool RemoteMemoryFabric::same_tray(hw::BrickId a, hw::BrickId b) const {
   return rack_.brick(a).tray() == rack_.brick(b).tray();
 }
 
-const RemoteMemoryFabric::ElectricalLink* RemoteMemoryFabric::find_electrical(
-    hw::CircuitId id) const {
-  for (const auto& l : electrical_) {
-    if (l.id == id) return &l;
-  }
-  return nullptr;
+std::size_t RemoteMemoryFabric::electrical_links() const {
+  return static_cast<std::size_t>(
+      std::count_if(live_links_.begin(), live_links_.end(),
+                    [](const LiveLink& l) { return l.medium == LinkMedium::kElectrical; }));
 }
 
-const RemoteMemoryFabric::PacketLink* RemoteMemoryFabric::find_packet(hw::CircuitId id) const {
-  for (const auto& l : packet_) {
-    if (l.id == id) return &l;
-  }
-  return nullptr;
+std::size_t RemoteMemoryFabric::packet_links() const {
+  return static_cast<std::size_t>(
+      std::count_if(live_links_.begin(), live_links_.end(),
+                    [](const LiveLink& l) { return l.medium == LinkMedium::kPacket; }));
 }
 
 std::optional<Attachment> RemoteMemoryFabric::attach(const AttachRequest& request,
@@ -212,21 +209,19 @@ bool RemoteMemoryFabric::ports_free(hw::BrickId compute, hw::BrickId membrick,
 RemoteMemoryFabric::Link RemoteMemoryFabric::wire_electrical(hw::BrickId compute,
                                                              hw::BrickId membrick, Link want) {
   // Tray backplane cross-connect: no optical switch ports involved.
-  ElectricalLink link{hw::CircuitId{next_electrical_id_++}, compute, membrick, {}, {}};
+  LiveLink link{hw::CircuitId{next_electrical_id_++}, LinkMedium::kElectrical, want.lanes,
+                latencies_.electrical_propagation, sim::Time::zero(), compute, membrick, {}};
   for (std::size_t l = 0; l < want.lanes; ++l) {
     auto* cport = rack_.brick(compute).find_free_port(/*circuit_based=*/true);
     auto* mport = rack_.brick(membrick).find_free_port(/*circuit_based=*/true);
     cport->connected = true;
     mport->connected = true;
-    link.a_ports.push_back(cport->id);
-    link.b_ports.push_back(mport->id);
+    link.wired.push_back(LiveLink::Lane{cport->id, mport->id, hw::CircuitId{}});
   }
   want.id = link.id;
   want.medium = LinkMedium::kElectrical;
-  want.out_port = link.a_ports.front();
-  electrical_.push_back(std::move(link));
-  link_records_.push_back(LinkRecord{want.id, LinkMedium::kElectrical, want.lanes,
-                                     latencies_.electrical_propagation, sim::Time::zero()});
+  want.out_port = link.wired.front().compute_port;
+  live_links_.push_back(std::move(link));
   return want;
 }
 
@@ -234,8 +229,8 @@ std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::wire_optical(hw::Bri
                                                                          hw::BrickId membrick,
                                                                          Link want) {
   // One circuit per lane, all bonded under the first (primary) id.
-  OpticalBond bond;
-  sim::Time propagation;
+  LiveLink link{hw::CircuitId{}, LinkMedium::kOptical, 0, sim::Time::zero(), sim::Time::zero(),
+                compute, membrick, {}};
   for (std::size_t l = 0; l < want.lanes; ++l) {
     auto* cport = rack_.brick(compute).find_free_port(/*circuit_based=*/true);
     auto* mport = rack_.brick(membrick).find_free_port(/*circuit_based=*/true);
@@ -256,20 +251,19 @@ std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::wire_optical(hw::Bri
     }
     cport->connected = true;
     mport->connected = true;
-    if (bond.all.empty()) {
+    if (link.wired.empty()) {
+      link.id = circuit->id;
+      link.propagation = circuit->propagation_delay();
       want.out_port = cport->id;
-      propagation = circuit->propagation_delay();
     }
-    bond.all.push_back(circuit->id);
+    link.wired.push_back(LiveLink::Lane{cport->id, mport->id, circuit->id});
   }
-  if (bond.all.empty()) return std::nullopt;
-  bond.primary = bond.all.front();
-  want.id = bond.primary;
+  if (link.wired.empty()) return std::nullopt;
+  link.lanes = link.wired.size();
+  want.id = link.id;
   want.medium = LinkMedium::kOptical;
-  want.lanes = bond.all.size();
-  if (bond.all.size() > 1) bonds_.push_back(std::move(bond));
-  link_records_.push_back(
-      LinkRecord{want.id, LinkMedium::kOptical, want.lanes, propagation, sim::Time::zero()});
+  want.lanes = link.lanes;
+  live_links_.push_back(std::move(link));
   return want;
 }
 
@@ -286,10 +280,10 @@ std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::wire_packet(hw::Bric
   want.medium = LinkMedium::kPacket;
   want.lanes = 1;
   want.out_port = hw::PortId{0};
-  const auto route = std::find_if(packet_.begin(), packet_.end(), [&](const PacketLink& l) {
-    return l.a == compute && l.b == membrick;
+  const auto route = std::find_if(live_links_.begin(), live_links_.end(), [&](const LiveLink& l) {
+    return l.medium == LinkMedium::kPacket && l.compute == compute && l.membrick == membrick;
   });
-  if (route != packet_.end()) {
+  if (route != live_links_.end()) {
     want.id = route->id;
     return want;
   }
@@ -297,9 +291,8 @@ std::optional<RemoteMemoryFabric::Link> RemoteMemoryFabric::wire_packet(hw::Bric
     packet_net_->connect(compute, membrick, want.fiber_length_m);
   }
   want.id = hw::CircuitId{next_packet_id_++};
-  packet_.push_back(PacketLink{want.id, compute, membrick});
-  link_records_.push_back(
-      LinkRecord{want.id, LinkMedium::kPacket, 1, sim::Time::zero(), sim::Time::zero()});
+  live_links_.push_back(LiveLink{want.id, LinkMedium::kPacket, 1, sim::Time::zero(),
+                                 sim::Time::zero(), compute, membrick, {}});
   return want;
 }
 
@@ -308,29 +301,37 @@ void RemoteMemoryFabric::release_if_unused(hw::CircuitId id) {
                   [&](const Attachment& a) { return a.circuit == id; })) {
     return;
   }
-  if (const ElectricalLink* link = find_electrical(id); link != nullptr) {
-    for (std::size_t l = 0; l < link->lanes(); ++l) {
-      rack_.brick(link->a).port(link->a_ports[l].value).connected = false;
-      rack_.brick(link->b).port(link->b_ports[l].value).connected = false;
-    }
-    std::erase_if(electrical_, [&](const ElectricalLink& l) { return l.id == id; });
-  } else if (find_packet(id) != nullptr) {
-    std::erase_if(packet_, [&](const PacketLink& l) { return l.id == id; });
-  } else {
-    tear_optical(id);
-  }
-  drop_link(id);
+  if (const auto link = link_holding(id); link != live_links_.end()) tear(link);
 }
 
-RemoteMemoryFabric::LinkRecord* RemoteMemoryFabric::find_link(hw::CircuitId id) {
-  for (auto& l : link_records_) {
+std::vector<RemoteMemoryFabric::LiveLink>::iterator RemoteMemoryFabric::link_holding(
+    hw::CircuitId lane) {
+  return std::find_if(live_links_.begin(), live_links_.end(), [&](const LiveLink& l) {
+    if (l.medium != LinkMedium::kOptical) return l.id == lane;
+    return std::any_of(l.wired.begin(), l.wired.end(),
+                       [&](const LiveLink::Lane& w) { return w.circuit == lane; });
+  });
+}
+
+bool RemoteMemoryFabric::tear(std::vector<LiveLink>::iterator link) {
+  bool live = false;
+  for (const LiveLink::Lane& lane : link->wired) {
+    rack_.brick(link->compute).port(lane.compute_port.value).connected = false;
+    rack_.brick(link->membrick).port(lane.membrick_port.value).connected = false;
+    if (lane.circuit.valid() && circuits_.find_ref(lane.circuit) != nullptr) {
+      circuits_.teardown(lane.circuit);
+      live = true;
+    }
+  }
+  live_links_.erase(link);
+  return live;
+}
+
+RemoteMemoryFabric::LiveLink* RemoteMemoryFabric::find_link(hw::CircuitId id) {
+  for (auto& l : live_links_) {
     if (l.id == id) return &l;
   }
   return nullptr;
-}
-
-void RemoteMemoryFabric::drop_link(hw::CircuitId id) {
-  std::erase_if(link_records_, [&](const LinkRecord& l) { return l.id == id; });
 }
 
 void RemoteMemoryFabric::track_controllers(hw::BrickId membrick) {
@@ -341,29 +342,6 @@ void RemoteMemoryFabric::track_controllers(hw::BrickId membrick) {
   }
   auto& row = mc_busy_until_[membrick.value];
   if (row.size() < controllers) row.resize(controllers, sim::Time::zero());
-}
-
-bool RemoteMemoryFabric::tear_optical(hw::CircuitId lane) {
-  // Single-lane links have no bond record: the lane is the whole link.
-  std::vector<hw::CircuitId> lanes{lane};
-  const auto bond = std::find_if(bonds_.begin(), bonds_.end(), [&](const OpticalBond& b) {
-    return std::find(b.all.begin(), b.all.end(), lane) != b.all.end();
-  });
-  if (bond != bonds_.end()) {
-    lanes = std::move(bond->all);
-    bonds_.erase(bond);
-  }
-  bool any = false;
-  for (hw::CircuitId id : lanes) {
-    const optics::Circuit* live = circuits_.find_ref(id);
-    if (live == nullptr) continue;
-    rack_.brick(live->a.brick).port(live->a.port.value).connected = false;
-    rack_.brick(live->b.brick).port(live->b.port.value).connected = false;
-    circuits_.teardown(id);
-    drop_link(id);
-    any = true;
-  }
-  return any;
 }
 
 std::optional<Attachment> RemoteMemoryFabric::attach_impl(const AttachRequest& request,
@@ -518,7 +496,8 @@ std::optional<RemoteMemoryFabric::MigratedAttachment> RemoteMemoryFabric::migrat
 bool RemoteMemoryFabric::fail_circuit(hw::CircuitId circuit) {
   // Only the optical substrate is subject to this fault model (fibres and
   // beam-steering cross-connects); the tray backplane is passive copper.
-  const bool any = tear_optical(circuit);
+  const auto link = link_holding(circuit);
+  const bool any = link != live_links_.end() && link->medium == LinkMedium::kOptical && tear(link);
   DREDBOX_AUDIT_INVARIANT(check_invariants());
   return any;
 }
@@ -558,11 +537,11 @@ std::optional<Attachment> RemoteMemoryFabric::repair(hw::BrickId compute,
 
 void RemoteMemoryFabric::on_circuits_torn(const std::vector<optics::Circuit>& torn) {
   for (const auto& c : torn) {
-    // The manager already dropped `c`; tear_optical takes its bond siblings.
+    // The manager already dropped `c`; tearing its link takes the bond
+    // siblings. A circuit the fabric did not wire still frees its ports.
     rack_.brick(c.a.brick).port(c.a.port.value).connected = false;
     rack_.brick(c.b.brick).port(c.b.port.value).connected = false;
-    drop_link(c.id);
-    tear_optical(c.id);
+    if (const auto link = link_holding(c.id); link != live_links_.end()) tear(link);
   }
   DREDBOX_AUDIT_INVARIANT(check_invariants());
 }
@@ -915,10 +894,9 @@ Transaction RemoteMemoryFabric::execute_path(TransactionKind kind, hw::BrickId c
   const hw::MemoryTechnology tech = mb.config().technology;
 
   // One lookup resolves the link: medium, lanes, propagation and cable
-  // occupancy. No record means the link is down (a failed or torn optical
+  // occupancy. No live link means it is down (a failed or torn optical
   // circuit awaiting repair).
-  LinkRecord* link = find_link(route->entry->circuit);
-  DREDBOX_AUDIT_INVARIANT(audit_link(route->entry->circuit, link));
+  LiveLink* link = find_link(route->entry->circuit);
   if (link == nullptr) {
     tx.status = TransactionStatus::kCircuitDown;
     tx.completed_at = t;
@@ -1037,125 +1015,72 @@ void RemoteMemoryFabric::check_invariants() const {
                       "dMEMBRICK segment " + a.segment.to_string() +
                           " disagrees with the attachment record");
 
-    // The link record matches the medium and the attachment's lane count.
-    // Optical circuits may be absent (failed, awaiting repair); electrical
-    // and packet links are fabric-owned and must exist.
-    std::size_t link_lanes = a.lanes;
-    switch (a.medium) {
-      case LinkMedium::kElectrical: {
-        const ElectricalLink* link = find_electrical(a.circuit);
-        DREDBOX_INVARIANT(link != nullptr,
-                          "electrical attachment without a backplane link record");
-        link_lanes = link->lanes();
-        break;
-      }
-      case LinkMedium::kPacket:
-        DREDBOX_INVARIANT(find_packet(a.circuit) != nullptr,
-                          "packet attachment without a lookup-table link record");
-        link_lanes = 1;
-        break;
-      case LinkMedium::kOptical:
-        if (circuits_.find_ref(a.circuit) == nullptr) break;
-        link_lanes = 1;
-        for (const auto& bond : bonds_) {
-          if (bond.primary == a.circuit) link_lanes = bond.all.size();
-        }
-        break;
+    // The attachment rides a live link of its pair, medium and lane count.
+    // Only an optical link may be gone (failed or torn, awaiting repair),
+    // and then its circuit must be dead too.
+    const auto link = std::find_if(live_links_.begin(), live_links_.end(),
+                                   [&](const LiveLink& l) { return l.id == a.circuit; });
+    if (link == live_links_.end()) {
+      DREDBOX_INVARIANT(
+          a.medium == LinkMedium::kOptical && circuits_.find_ref(a.circuit) == nullptr,
+          "segment " + a.segment.to_string() + " rides link " + a.circuit.to_string() +
+              ", which has no live-link row");
+      continue;
     }
-    DREDBOX_INVARIANT(a.lanes == link_lanes,
+    DREDBOX_INVARIANT(link->compute == a.compute && link->membrick == a.membrick &&
+                          link->medium == a.medium,
+                      "segment " + a.segment.to_string() + " rides link " +
+                          a.circuit.to_string() + " of another pair or medium");
+    DREDBOX_INVARIANT(a.lanes == link->lanes,
                       "segment " + a.segment.to_string() + " records " +
                           std::to_string(a.lanes) + " lanes on a " +
-                          std::to_string(link_lanes) + "-lane link");
+                          std::to_string(link->lanes) + "-lane link");
   }
 
-  // No link outlives its last rider: anything else is a leaked circuit,
-  // switch port or transceiver port.
-  const auto ridden = [&](hw::CircuitId id) {
-    return std::any_of(attachments_.begin(), attachments_.end(),
-                       [&](const Attachment& a) { return a.circuit == id; });
-  };
-  for (const auto& link : electrical_) {
-    DREDBOX_INVARIANT(ridden(link.id), "electrical link " + link.id.to_string() + " leaked");
-  }
-  for (const auto& bond : bonds_) {
-    DREDBOX_INVARIANT(ridden(bond.primary),
-                      "optical bond " + bond.primary.to_string() + " leaked");
-  }
-  for (const auto& link : packet_) {
-    DREDBOX_INVARIANT(ridden(link.id), "packet link " + link.id.to_string() + " leaked");
-  }
-
-  // Link records: every live link has exactly one, and every record names
-  // a live, ridden link and agrees with it (audit_link's slow resolution).
-  const auto records = [&](hw::CircuitId id) {
-    return std::count_if(link_records_.begin(), link_records_.end(),
-                         [&](const LinkRecord& l) { return l.id == id; });
-  };
-  for (const auto& link : electrical_) {
-    DREDBOX_INVARIANT(records(link.id) == 1,
-                      "electrical link " + link.id.to_string() + " needs one link record");
-  }
-  for (const auto& link : packet_) {
-    DREDBOX_INVARIANT(records(link.id) == 1,
-                      "packet link " + link.id.to_string() + " needs one link record");
-  }
-  for (const auto& a : attachments_) {
-    if (a.medium == LinkMedium::kOptical && circuits_.find_ref(a.circuit) != nullptr) {
-      DREDBOX_INVARIANT(records(a.circuit) == 1,
-                        "optical link " + a.circuit.to_string() + " needs one link record");
+  // Each live link has one row and a rider (anything else is a leaked
+  // circuit, switch port or transceiver port), wires as many lanes as it
+  // counts and holds their ports; an optical lane is a live circuit
+  // between those ports with the row's propagation.
+  for (std::size_t i = 0; i < live_links_.size(); ++i) {
+    const LiveLink& link = live_links_[i];
+    for (std::size_t j = i + 1; j < live_links_.size(); ++j) {
+      DREDBOX_INVARIANT(live_links_[j].id != link.id,
+                        "link " + link.id.to_string() + " has two rows");
+    }
+    DREDBOX_INVARIANT(std::any_of(attachments_.begin(), attachments_.end(),
+                                  [&](const Attachment& a) { return a.circuit == link.id; }),
+                      "link " + link.id.to_string() + " leaked: no attachment rides it");
+    if (link.medium == LinkMedium::kPacket) {
+      DREDBOX_INVARIANT(link.lanes == 1 && link.wired.empty(),
+                        "packet link " + link.id.to_string() + " wires lanes");
+      continue;
+    }
+    DREDBOX_INVARIANT(!link.wired.empty() && link.lanes == link.wired.size(),
+                      "link " + link.id.to_string() + " counts " +
+                          std::to_string(link.lanes) + " lanes but wires " +
+                          std::to_string(link.wired.size()));
+    const bool electrical = link.medium == LinkMedium::kElectrical;
+    DREDBOX_INVARIANT(electrical ? link.propagation == latencies_.electrical_propagation
+                                 : link.wired.front().circuit == link.id,
+                      "link " + link.id.to_string() +
+                          (electrical ? " has the wrong backplane propagation"
+                                      : " is not named after its primary circuit"));
+    for (const LiveLink::Lane& lane : link.wired) {
+      DREDBOX_INVARIANT(rack_.brick(link.compute).port(lane.compute_port.value).connected &&
+                            rack_.brick(link.membrick).port(lane.membrick_port.value).connected,
+                        "link " + link.id.to_string() +
+                            " has a lane on a disconnected transceiver port");
+      if (electrical) continue;
+      const optics::Circuit* circuit = circuits_.find_ref(lane.circuit);
+      DREDBOX_INVARIANT(circuit != nullptr && circuit->a.brick == link.compute &&
+                            circuit->a.port == lane.compute_port &&
+                            circuit->b.brick == link.membrick &&
+                            circuit->b.port == lane.membrick_port &&
+                            circuit->propagation_delay() == link.propagation,
+                        "link " + link.id.to_string() + " lane " + lane.circuit.to_string() +
+                            " is not a live circuit between its ports with its propagation");
     }
   }
-  for (const auto& record : link_records_) {
-    DREDBOX_INVARIANT(ridden(record.id),
-                      "link record " + record.id.to_string() + " outlives its last rider");
-    audit_link(record.id, &record);
-  }
-
-  // Fabric-owned link endpoints must still hold their transceiver ports.
-  for (const auto& link : electrical_) {
-    DREDBOX_INVARIANT(link.a_ports.size() == link.b_ports.size(),
-                      "electrical link with unbalanced lane bundles");
-    for (std::size_t l = 0; l < link.lanes(); ++l) {
-      DREDBOX_INVARIANT(rack_.brick(link.a).port(link.a_ports[l].value).connected &&
-                            rack_.brick(link.b).port(link.b_ports[l].value).connected,
-                        "electrical link lane rides a disconnected transceiver port");
-    }
-  }
-}
-
-void RemoteMemoryFabric::audit_link(hw::CircuitId id, const LinkRecord* record) const {
-  // Resolve the link the slow way: the per-medium link tables, the circuit
-  // manager, and the lane count the riding attachments record.
-  std::optional<LinkMedium> medium;
-  sim::Time propagation;
-  if (find_packet(id) != nullptr) {
-    medium = LinkMedium::kPacket;
-  } else if (find_electrical(id) != nullptr) {
-    medium = LinkMedium::kElectrical;
-    propagation = latencies_.electrical_propagation;
-  } else if (const optics::Circuit* circuit = circuits_.find_ref(id); circuit != nullptr) {
-    medium = LinkMedium::kOptical;
-    propagation = circuit->propagation_delay();
-  }
-  if (!medium) {
-    DREDBOX_INVARIANT(record == nullptr, "link record " + id.to_string() + " outlives its link");
-    return;
-  }
-  DREDBOX_INVARIANT(record != nullptr, "live link " + id.to_string() + " has no link record");
-  DREDBOX_INVARIANT(record->medium == *medium,
-                    "link record " + id.to_string() + " names the wrong medium");
-  if (*medium == LinkMedium::kPacket) return;  // the packet model owns its timing
-  std::size_t lanes = 1;
-  for (const auto& a : attachments_) {
-    if (a.circuit == id) {
-      lanes = a.lanes;
-      break;
-    }
-  }
-  DREDBOX_INVARIANT(record->lanes == lanes && record->propagation == propagation,
-                    "link record " + id.to_string() + " disagrees with its link: " +
-                        std::to_string(record->lanes) + " vs " + std::to_string(lanes) +
-                        " lanes");
 }
 
 Transaction RemoteMemoryFabric::read(hw::BrickId compute, std::uint64_t address,

@@ -91,7 +91,8 @@ class RemoteMemoryFabric {
   /// must be registered in the network; the fabric programs the lookup
   /// tables (the Section III control-path role) on first use.
   void set_packet_network(net::PacketNetwork* network) { packet_net_ = network; }
-  std::size_t packet_links() const { return packet_.size(); }
+  /// Number of live packet lookup-table routes (for introspection).
+  std::size_t packet_links() const;
 
   /// Wires rack-wide telemetry in: attach/detach counters, per-access
   /// round-trip histograms ("memsys.read.latency_ns" — the Fig. 8
@@ -146,7 +147,7 @@ class RemoteMemoryFabric {
   /// back (insertion-loss drift, switch-port failure): releases the brick
   /// transceiver ports of every torn circuit, tears sibling lanes of any
   /// bond a torn circuit belonged to (a bonded link dies as a whole) and
-  /// drops stale occupancy records. Attachments stay installed — their
+  /// erases the link's row. Attachments stay installed — their
   /// transactions report kCircuitDown until repaired.
   void on_circuits_torn(const std::vector<optics::Circuit>& torn);
 
@@ -206,51 +207,49 @@ class RemoteMemoryFabric {
   const CircuitPathLatencies& latencies() const { return latencies_; }
 
   /// Number of live electrical intra-tray links (for introspection).
-  std::size_t electrical_links() const { return electrical_.size(); }
-  /// Number of link records the datapath resolves links through: one per
-  /// live link of any medium (for introspection).
-  std::size_t link_records() const { return link_records_.size(); }
+  std::size_t electrical_links() const;
+  /// Number of live links of any medium: the records the datapath resolves
+  /// links through (for introspection).
+  std::size_t link_records() const { return live_links_.size(); }
 
   /// Deep consistency audit of the control-plane state: every attachment
   /// references live bricks of the right kinds, its segment is really
   /// carved on the dMEMBRICK for the attached dCOMPUBRICK, the matching
-  /// RMST entry is installed at the compute side, link records agree with
-  /// the medium and the attachment's lane count, no (compute, segment)
-  /// pair is attached twice, no link outlives its last rider (a leak), and
-  /// every live link has exactly one datapath link record that agrees with
-  /// it while no record outlives its link. Optical circuits are allowed to be
-  /// absent (fail_circuit() models fibre cuts; transactions then report
-  /// kCircuitDown, and the dead circuit still counts as ridden). Throws
-  /// ContractViolation on the first broken invariant. Wired into every
-  /// control-plane mutation when built with -DDREDBOX_AUDIT=ON; callable
-  /// directly in any build.
+  /// RMST entry is installed at the compute side, no (compute, segment)
+  /// pair is attached twice, and each attachment rides a live link of its
+  /// pair, medium and lane count. Each live link has one row, at least one
+  /// rider (else it leaked), a lane count its wiring matches, transceiver
+  /// ports still held, and — when optical — every lane live in the circuit
+  /// manager between those ports with the row's propagation. Only an
+  /// optical link may be missing while ridden (fail_circuit() models fibre
+  /// cuts; transactions then report kCircuitDown until repair), and then
+  /// its circuit must be dead. Throws ContractViolation on the first broken
+  /// invariant. Wired into every control-plane mutation when built with
+  /// -DDREDBOX_AUDIT=ON; callable directly in any build.
   void check_invariants() const;
 
  private:
-  /// Intra-tray electrical cross-connect (fixed backplane wiring; no
-  /// optical switch ports involved). May bond several backplane lanes.
-  struct ElectricalLink {
-    hw::CircuitId id;
-    hw::BrickId a;
-    hw::BrickId b;
-    std::vector<hw::PortId> a_ports;
-    std::vector<hw::PortId> b_ports;
-    std::size_t lanes() const { return a_ports.size(); }
-  };
-
-  /// Bond of parallel optical circuits between one pair (primary id is
-  /// what attachments reference; siblings are torn down with it).
-  struct OpticalBond {
-    hw::CircuitId primary;
-    std::vector<hw::CircuitId> all;  // includes primary
-  };
-
-  /// Packet-substrate fallback link (no dedicated circuit; lookup-table
-  /// entries multiplex many destinations over the PBN ports).
-  struct PacketLink {
-    hw::CircuitId id;
-    hw::BrickId a;
-    hw::BrickId b;
+  /// One live link between a (dCOMPUBRICK, dMEMBRICK) pair, whatever its
+  /// medium: an intra-tray backplane bundle, a bond of optical circuits
+  /// through the switch, or a packet lookup-table route. Made by the wire_*
+  /// helpers and erased on the release path, so a missing row means the
+  /// link is down. The fields the per-op datapath reads come first.
+  struct LiveLink {
+    hw::CircuitId id;  // what attachments and RMST entries carry (a bond's primary)
+    LinkMedium medium = LinkMedium::kOptical;
+    std::size_t lanes = 1;
+    sim::Time propagation;  // one way
+    sim::Time busy_until;   // cable occupancy for serialization contention
+    hw::BrickId compute;
+    hw::BrickId membrick;
+    /// One wired lane: a transceiver port on each brick and, when optical,
+    /// the circuit through the switch (siblings die with the primary).
+    struct Lane {
+      hw::PortId compute_port;
+      hw::PortId membrick_port;
+      hw::CircuitId circuit;  // invalid on a backplane lane
+    };
+    std::vector<Lane> wired;  // empty for a packet route
   };
 
   hw::Rack& rack_;
@@ -258,21 +257,9 @@ class RemoteMemoryFabric {
   CircuitPathLatencies latencies_;
   net::PacketNetwork* packet_net_ = nullptr;
   std::vector<Attachment> attachments_;
-  std::vector<ElectricalLink> electrical_;
-  std::vector<OpticalBond> bonds_;
-  std::vector<PacketLink> packet_;
-  /// What the per-op datapath needs of one live link, resolved by one scan
-  /// keyed on the id the RMST entry carries (a bond's primary). Made by
-  /// the wire_* helpers and dropped on the release path, so a missing
-  /// record means the link is down.
-  struct LinkRecord {
-    hw::CircuitId id;
-    LinkMedium medium = LinkMedium::kOptical;
-    std::size_t lanes = 1;
-    sim::Time propagation;  // one way
-    sim::Time busy_until;   // cable occupancy for serialization contention
-  };
-  std::vector<LinkRecord> link_records_;
+  /// The one table of live links; the datapath resolves a transaction's
+  /// link with one scan of it, keyed on the id the RMST entry carries.
+  std::vector<LiveLink> live_links_;
   /// Per-(dMEMBRICK, controller) occupancy, indexed [brick id][controller]:
   /// a brick dimensioned with more memory controllers serves more
   /// concurrent transactions (Section II). A brick's row is sized when it
@@ -333,17 +320,17 @@ class RemoteMemoryFabric {
   std::optional<Link> wire_packet(hw::BrickId compute, hw::BrickId membrick, Link want);
   /// Tears link `id` down when no attachment rides it, whatever its medium.
   void release_if_unused(hw::CircuitId id);
-  /// Tears every live lane of the optical link `lane` belongs to (a bond
-  /// dies whole), freeing brick ports and link records. Returns whether
-  /// any lane was still live.
-  bool tear_optical(hw::CircuitId lane);
-  LinkRecord* find_link(hw::CircuitId id);
-  void drop_link(hw::CircuitId id);
+  /// The live link whose id is `lane` or, when optical, whose bond holds
+  /// circuit `lane`.
+  std::vector<LiveLink>::iterator link_holding(hw::CircuitId lane);
+  /// Frees every lane's transceiver ports, tears the lanes' live circuits
+  /// down (a bond dies whole) and erases the row. Returns whether any
+  /// circuit was still live.
+  bool tear(std::vector<LiveLink>::iterator link);
+  /// The datapath's lookup: the live link with id `id`, or null.
+  LiveLink* find_link(hw::CircuitId id);
   /// Sizes `membrick`'s row of the controller occupancy table.
   void track_controllers(hw::BrickId membrick);
-  /// Checks the record execute_path resolved for `id` against the slow
-  /// resolution from the link tables, the circuit manager and the riders.
-  void audit_link(hw::CircuitId id, const LinkRecord* record) const;
   Transaction execute(TransactionKind kind, hw::BrickId compute, std::uint64_t address,
                       std::uint32_t bytes, sim::Time when, const sim::TraceContext& parent);
   Transaction execute_path(TransactionKind kind, hw::BrickId compute, std::uint64_t address,
@@ -351,8 +338,6 @@ class RemoteMemoryFabric {
   sim::Time serialization_time(std::uint32_t bytes, LinkMedium medium,
                                std::size_t lanes) const;
   const Attachment* find_attachment(hw::BrickId compute, std::uint64_t address) const;
-  const ElectricalLink* find_electrical(hw::CircuitId id) const;
-  const PacketLink* find_packet(hw::CircuitId id) const;
   bool same_tray(hw::BrickId a, hw::BrickId b) const;
 };
 

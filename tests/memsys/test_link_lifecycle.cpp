@@ -2,7 +2,8 @@
 // a pair link (here: migration, and a failed bond lane) hands back every
 // port it took, an attachment record always describes the link it rides,
 // and the link record the datapath resolves follows the link through
-// failure, repair, packet failover and detach.
+// failure, repair, packet failover and detach — also while one pair rides
+// two links at once.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,15 @@ namespace {
 
 using sim::Time;
 constexpr std::uint64_t kGiB = 1ull << 30;
+
+/// A pair riding two links at once: segments `first` and `second` shared a
+/// 2-lane optical link until `first` failed over to a packet route, and
+/// `third` attached afterwards.
+struct TwoLinkPair {
+  Attachment first;
+  Attachment second;
+  Attachment third;
+};
 
 /// Three trays: the dMEMBRICK sits between two dCOMPUBRICKs on trays of
 /// their own, so both pairs are cross-tray (optical). Every brick is on the
@@ -44,6 +54,36 @@ class LinkLifecycleTest : public ::testing::Test {
 
   std::size_t used_ports(hw::BrickId b) const {
     return rack_.brick(b).port_count() - rack_.brick(b).free_port_count(/*circuit_based=*/true);
+  }
+
+  TwoLinkPair ride_two_links() {
+    TwoLinkPair p;
+    p.first = attach(2);
+    p.second = attach(2);
+    EXPECT_EQ(p.second.circuit, p.first.circuit);
+    EXPECT_EQ(fabric_.link_records(), 1u);
+    EXPECT_EQ(switch_.ports_in_use(), 4u);
+
+    const auto moved = fabric_.failover_to_packet(compute_a_, p.first.segment, Time::ms(1));
+    EXPECT_TRUE(moved.has_value());
+    p.first = *moved;
+    EXPECT_EQ(p.first.medium, LinkMedium::kPacket);
+    EXPECT_EQ(fabric_.link_records(), 2u);
+    EXPECT_EQ(fabric_.packet_links(), 1u);
+    EXPECT_EQ(switch_.ports_in_use(), 4u);  // the optical link still has a rider
+
+    // A new segment of the pair rides the first rider's link (packet), not
+    // the optical link the second rider still holds.
+    p.third = attach(2);
+    EXPECT_EQ(p.third.medium, LinkMedium::kPacket);
+    EXPECT_EQ(p.third.circuit, p.first.circuit);
+    EXPECT_EQ(p.third.lanes, 1u);
+    EXPECT_EQ(fabric_.link_records(), 2u);
+    EXPECT_EQ(fabric_.packet_links(), 1u);
+    EXPECT_EQ(switch_.ports_in_use(), 4u);
+    EXPECT_EQ(used_ports(compute_a_), 2u);
+    EXPECT_NO_THROW(fabric_.check_invariants());
+    return p;
   }
 
   void expect_pristine() {
@@ -207,6 +247,40 @@ TEST_F(LinkLifecycleTest, ReadAfterABondSiblingIsTornIsCircuitDown) {
   EXPECT_EQ(fabric_.link_records(), 0u);
   EXPECT_EQ(fabric_.read(compute_a_, a.compute_base, 64, Time::ms(1)).status,
             TransactionStatus::kCircuitDown);
+  EXPECT_NO_THROW(fabric_.check_invariants());
+}
+
+TEST_F(LinkLifecycleTest, PairOnTwoLinksDetachingTheOpticalRiderFreesOnlyItsPorts) {
+  const TwoLinkPair p = ride_two_links();
+  ASSERT_TRUE(fabric_.detach(compute_a_, p.second.segment));
+  EXPECT_EQ(switch_.ports_in_use(), 0u);
+  EXPECT_EQ(used_ports(compute_a_), 0u);
+  EXPECT_EQ(used_ports(membrick_), 0u);
+  EXPECT_EQ(fabric_.link_records(), 1u);
+  EXPECT_EQ(fabric_.packet_links(), 1u);
+  EXPECT_TRUE(fabric_.read(compute_a_, p.third.compute_base, 64, Time::ms(2)).ok());
+
+  ASSERT_TRUE(fabric_.detach(compute_a_, p.first.segment));
+  EXPECT_EQ(fabric_.packet_links(), 1u);  // the third segment still rides it
+  ASSERT_TRUE(fabric_.detach(compute_a_, p.third.segment));
+  expect_pristine();
+  EXPECT_NO_THROW(fabric_.check_invariants());
+}
+
+TEST_F(LinkLifecycleTest, PairOnTwoLinksDetachingThePacketRidersFreesOnlyTheRoute) {
+  const TwoLinkPair p = ride_two_links();
+  ASSERT_TRUE(fabric_.detach(compute_a_, p.first.segment));
+  EXPECT_EQ(fabric_.packet_links(), 1u);  // the third segment still rides it
+  EXPECT_EQ(fabric_.link_records(), 2u);
+  ASSERT_TRUE(fabric_.detach(compute_a_, p.third.segment));
+  EXPECT_EQ(fabric_.packet_links(), 0u);
+  EXPECT_EQ(fabric_.link_records(), 1u);
+  EXPECT_EQ(switch_.ports_in_use(), 4u);
+  EXPECT_EQ(used_ports(compute_a_), 2u);
+  EXPECT_TRUE(fabric_.read(compute_a_, p.second.compute_base, 64, Time::ms(2)).ok());
+
+  ASSERT_TRUE(fabric_.detach(compute_a_, p.second.segment));
+  expect_pristine();
   EXPECT_NO_THROW(fabric_.check_invariants());
 }
 
