@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Audit-build allocation gate: with -DDREDBOX_AUDIT=ON every contract and
-# deep invariant is armed, and a steady-state remote read must still not
-# touch the heap. Runs BM_RemoteReadSteadyStateAllocs from BUILD_DIR's
-# micro_benchmarks and fails unless it reports allocs_per_op == 0.
+# deep invariant is armed, and neither a steady-state remote read nor a
+# steady-state DMA transfer may touch the heap. Runs
+# BM_RemoteReadSteadyStateAllocs and BM_DmaSteadyStateAllocs from
+# BUILD_DIR's micro_benchmarks and fails unless both report
+# allocs_per_op == 0.
 #
 # Usage: scripts/audit_allocs.sh BUILD_DIR   (a DREDBOX_AUDIT=ON build)
 set -euo pipefail
@@ -15,15 +17,19 @@ if [[ ! -x "$bench" ]]; then
   exit 1
 fi
 
-"$bench" --benchmark_filter='^BM_RemoteReadSteadyStateAllocs$' --benchmark_format=json |
+"$bench" --benchmark_filter='^BM_(RemoteRead|Dma)SteadyStateAllocs$' --benchmark_format=json |
   python3 -c '
 import json, sys
-rows = [b for b in json.load(sys.stdin)["benchmarks"]
-        if b["name"] == "BM_RemoteReadSteadyStateAllocs"]
-if len(rows) != 1 or "allocs_per_op" not in rows[0]:
-    sys.exit("audit-allocs: BM_RemoteReadSteadyStateAllocs reported no allocs_per_op")
-allocs = rows[0]["allocs_per_op"]
-print("audit-allocs: BM_RemoteReadSteadyStateAllocs allocs_per_op=%g" % allocs)
-if allocs != 0:
-    sys.exit("audit-allocs: a steady-state remote read allocates in the audit build")
+gated = ["BM_RemoteReadSteadyStateAllocs", "BM_DmaSteadyStateAllocs"]
+rows = {b["name"]: b for b in json.load(sys.stdin)["benchmarks"]}
+failed = False
+for name in gated:
+    if name not in rows or "allocs_per_op" not in rows[name]:
+        sys.exit("audit-allocs: %s reported no allocs_per_op" % name)
+    allocs = rows[name]["allocs_per_op"]
+    print("audit-allocs: %s allocs_per_op=%g" % (name, allocs))
+    if allocs != 0:
+        print("audit-allocs: %s allocates in the audit build" % name, file=sys.stderr)
+        failed = True
+sys.exit(1 if failed else 0)
 '

@@ -4,7 +4,9 @@
 # (DREDBOX_SANITIZE) to catch memory and UB bugs, and a DREDBOX_AUDIT=ON
 # build that turns on the contract/invariant layer so every deep
 # check_invariants() audit runs after every mutation (and where a
-# steady-state remote read must still allocate nothing). A tsan stage rebuilds
+# steady-state remote read or DMA transfer must still allocate nothing,
+# and a 16-rack coupled run must pass the per-tick scheduler audit twice
+# with identical output). A tsan stage rebuilds
 # with DREDBOX_SANITIZE=thread and re-runs the concurrency-touching tests
 # (SweepRunner, workload engine, schedule audit) under ThreadSanitizer, and
 # a thread-safety stage builds with clang -Wthread-safety -Werror over the
@@ -48,8 +50,17 @@ run_suite build
 run_suite build-asan -DDREDBOX_SANITIZE="address;undefined" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 run_suite build-audit -DDREDBOX_AUDIT=ON
-echo "== audit-allocs: a steady-state remote read allocates nothing, audits armed"
+echo "== audit-allocs: a steady-state remote read and DMA allocate nothing, audits armed"
 bash "$root/scripts/audit_allocs.sh" build-audit
+
+echo "== cluster-audit: 16-rack coupled run with the scheduler audits armed, twice"
+# Every tick re-checks each cached head against its queue and the
+# tournament root against a full scan (Cluster::check_heads).
+for run in 1 2; do
+  "$root/build-audit/examples/datacenter" --racks 16 --duration-ms 1 --cross-share 0.2 \
+    > "$root/build-audit/cluster16_audit.$run.txt"
+done
+cmp "$root/build-audit/cluster16_audit.1.txt" "$root/build-audit/cluster16_audit.2.txt"
 
 echo "== tsan: concurrency-touching tests under ThreadSanitizer"
 cmake -B "$root/build-tsan" -S "$root" -DDREDBOX_SANITIZE=thread \

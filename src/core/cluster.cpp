@@ -1,6 +1,7 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -53,6 +54,16 @@ std::uint32_t request_bytes(std::uint32_t bytes, bool write) {
 }
 std::uint32_t reply_bytes(std::uint32_t bytes, bool write) {
   return kHeaderBytes + (write ? 0 : bytes);
+}
+
+/// Elects the winner of tournament-tree node `node` from its two children.
+/// Every rack in a left subtree has a lower index than every rack in its
+/// right sibling, so a head tie goes to the left child.
+void elect(std::vector<std::uint32_t>& tree, const std::vector<sim::Time>& heads,
+           std::size_t node) {
+  const std::uint32_t left = tree[2 * node];
+  const std::uint32_t right = tree[2 * node + 1];
+  tree[node] = heads[left] <= heads[right] ? left : right;
 }
 
 }  // namespace
@@ -182,7 +193,12 @@ Cluster::Cluster(const DatacenterConfig& config)
   for (std::size_t r = 0; r < config_.racks.size(); ++r) {
     racks_.push_back(std::make_unique<Datacenter>(rack_config(config_, r)));
   }
-  heads_.assign(racks_.size(), sim::Time::infinity());
+  const std::size_t leaves = std::bit_ceil(racks_.size());
+  heads_.assign(leaves, sim::Time::infinity());
+  // Only the leaves are fixed here; advance_all() elects the inner nodes
+  // on entry, after it polls the heads.
+  tree_.assign(2 * leaves, 0);
+  for (std::size_t r = 0; r < leaves; ++r) tree_[leaves + r] = static_cast<std::uint32_t>(r);
   wire_spine();
   boot_gateways();
 }
@@ -316,7 +332,14 @@ void Cluster::send(std::uint32_t target, sim::Time when, sim::EventQueue::Action
                    const char* label) {
   racks_[target]->simulator().at(when, std::move(action), label);
   // Scheduling at `when` moves the target queue's head to min(head, when).
-  if (when < heads_[target]) heads_[target] = when;
+  if (when < heads_[target]) {
+    heads_[target] = when;
+    replay(target);
+  }
+}
+
+void Cluster::replay(std::uint32_t r) {
+  for (std::size_t i = (tree_.size() / 2 + r) / 2; i > 0; i /= 2) elect(tree_, heads_, i);
 }
 
 void Cluster::complete(std::uint32_t src, std::uint32_t slot, bool ok) {
@@ -355,20 +378,24 @@ ClusterRunStats Cluster::advance_all(sim::Time until) {
   for (std::size_t r = 0; r < racks_.size(); ++r) {
     heads_[r] = racks_[r]->simulator().queue().next_time();
   }
+  for (std::size_t i = tree_.size() / 2 - 1; i > 0; --i) elect(tree_, heads_, i);
+  sim::Time last = sim::Time::infinity();
   for (;;) {
     DREDBOX_AUDIT_INVARIANT(check_heads());
-    const sim::Time tick = *std::min_element(heads_.begin(), heads_.end());
+    // The root is the lowest-indexed rack holding the earliest head, so
+    // racks sharing a tick run in ascending index, one after the other.
+    // Only the rack that ran and the targets of its sends change head; a
+    // send lands at least one propagation delay after `tick`, so no head
+    // moves onto `tick` while the tick is in progress.
+    const std::uint32_t r = tree_[1];
+    const sim::Time tick = heads_[r];
     if (tick.is_infinite() || tick > until) break;
-    ++stats.rounds;
-    // Only the rack that ran and the targets of its sends can change head.
-    // A send lands at least one propagation delay after `tick`, so no
-    // rack's head moves onto `tick` while the tick is in progress.
-    for (std::size_t r = 0; r < racks_.size(); ++r) {
-      if (heads_[r] != tick) continue;
-      sim::EventQueue& queue = racks_[r]->simulator().queue();
-      queue.run_until(tick);
-      heads_[r] = queue.next_time();
+    if (tick != last) {
+      ++stats.rounds;
+      last = tick;
     }
+    heads_[r] = racks_[r]->simulator().queue().run_tick(tick);
+    replay(r);
   }
   // Every head is past `until`: this dispatches nothing and parks each
   // clock exactly at `until` (the Datacenter::advance_to semantics).
@@ -378,11 +405,17 @@ ClusterRunStats Cluster::advance_all(sim::Time until) {
 }
 
 void Cluster::check_heads() const {
+  std::uint32_t argmin = 0;
   for (std::size_t r = 0; r < racks_.size(); ++r) {
     DREDBOX_INVARIANT(heads_[r] == racks_[r]->simulator().queue().next_time(),
                       "Cluster::advance_all: cached head of rack " + std::to_string(r) +
                           " disagrees with its queue");
+    if (heads_[r] < heads_[argmin]) argmin = static_cast<std::uint32_t>(r);
   }
+  DREDBOX_INVARIANT(tree_[1] == argmin,
+                    "Cluster::advance_all: tournament root names rack " +
+                        std::to_string(tree_[1]) + " but the earliest head is rack " +
+                        std::to_string(argmin) + "'s");
 }
 
 double Cluster::power_draw_watts() const {

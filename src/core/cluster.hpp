@@ -97,8 +97,11 @@ class Cluster {
   ///
   /// Heads are polled from every queue once on entry and then cached: a
   /// rack's head is re-read only after it ran, and a cross-rack send
-  /// lowers its target's head to the landing tick. Under DREDBOX_AUDIT
-  /// every tick re-checks the cache against each queue.
+  /// lowers its target's head to the landing tick. A tournament tree over
+  /// the cached heads names the next rack to run; each head change
+  /// replays only that rack's leaf-to-root path. Under DREDBOX_AUDIT every
+  /// tick re-checks the cache against each queue and the tree's root
+  /// against a full scan.
   ClusterRunStats advance_all(sim::Time until);
 
   /// Total spine + racks instantaneous power.
@@ -121,7 +124,10 @@ class Cluster {
   /// rack's cached head to `when`. Every cross-rack event goes through here.
   void send(std::uint32_t target, sim::Time when, sim::EventQueue::Action action,
             const char* label);
-  /// Audit: every cached head equals its queue's next_time().
+  /// Re-elects the winner of every tree node on rack r's leaf-to-root path.
+  void replay(std::uint32_t r);
+  /// Audit: every cached head equals its queue's next_time(), and the
+  /// tree's root is the argmin of (head, rack index) over all racks.
   void check_heads() const;
 
   void wire_spine();
@@ -142,8 +148,13 @@ class Cluster {
   bool faults_armed_ = false;
   /// Spine messages delivered so far (requests served plus replies).
   std::uint64_t delivered_ = 0;
-  /// Per-rack head tick as advance_all() last knew it (see there).
+  /// Per-rack head tick as advance_all() last knew it (see there), padded
+  /// with infinite heads up to the tree's leaf count.
   std::vector<sim::Time> heads_;
+  /// Tournament (winner) tree over heads_: tree_[1] is the root, node i
+  /// has children 2i and 2i+1, leaf r sits at tree_[leaves + r]. Each node
+  /// holds the rack index with the smaller (head, index) of its children.
+  std::vector<std::uint32_t> tree_;
 };
 
 }  // namespace dredbox::core

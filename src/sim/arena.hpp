@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -122,20 +123,27 @@ class IndexedArena {
 
   /// Deep audit: freelist is duplicate-free, covers exactly the dead
   /// initialized slots, every block is correctly aligned and every
-  /// generation is non-zero. O(capacity); wired into the arena tests and
-  /// the event queue's DREDBOX_AUDIT=ON invariant sweep.
+  /// generation is non-zero. O(capacity); allocates only on the first
+  /// audit after the arena grew (it marks freed slots in a scratch
+  /// bitmap). Wired into the arena tests and the event queue's
+  /// DREDBOX_AUDIT=ON invariant sweep.
   void check_invariants() const {
     DREDBOX_INVARIANT(bump_ <= capacity(), "IndexedArena: bump cursor beyond capacity");
     DREDBOX_INVARIANT(free_.size() + live_ == bump_,
                       "IndexedArena: freelist size " + std::to_string(free_.size()) +
                           " + live " + std::to_string(live_) + " != initialized " +
                           std::to_string(bump_));
-    std::vector<bool> freed(bump_, false);
+    // Sized to the capacity, so it grows only with the arena: steady
+    // state (no growth) audits without touching the heap.
+    if (freed_.size() * 64 < capacity()) freed_.resize(capacity() / 64);
+    std::fill(freed_.begin(), freed_.end(), std::uint64_t{0});
     for (std::uint32_t slot : free_) {
       DREDBOX_INVARIANT(slot < bump_, "IndexedArena: freelist entry beyond bump cursor");
-      DREDBOX_INVARIANT(!freed[slot], "IndexedArena: slot appears twice in the freelist");
+      std::uint64_t& word = freed_[slot / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+      DREDBOX_INVARIANT((word & bit) == 0, "IndexedArena: slot appears twice in the freelist");
       DREDBOX_INVARIANT(!block_ref(slot).live, "IndexedArena: live slot in the freelist");
-      freed[slot] = true;
+      word |= bit;
     }
     std::size_t live_seen = 0;
     for (std::uint32_t slot = 0; slot < bump_; ++slot) {
@@ -183,6 +191,9 @@ class IndexedArena {
   /// Slots [0, bump_) have been handed out at least once.
   std::uint32_t bump_ = 0;
   std::size_t live_ = 0;
+  /// check_invariants() scratch: one bit per block, set for each freelist
+  /// slot seen. Kept between audits so only growth reallocates it.
+  mutable std::vector<std::uint64_t> freed_;
 };
 
 }  // namespace dredbox::sim

@@ -415,67 +415,63 @@ void EventQueue::set_perturbation(const SchedulePerturbation& perturbation) {
   captured_.reset();
 }
 
-std::size_t EventQueue::dispatch_batch(Time until) {
-  // Batched same-timestamp dispatch (ISSUE 9d): the drain is sorted, so
-  // every event tied at the earliest timestamp sits contiguously at its
-  // tail. Service the whole tie group in one pass — the way the schedule
-  // auditor's collect_batch() already gathers ties — without re-probing
-  // the calendar (ensure_drain) between events. Ordering is unchanged:
-  // the pops walk the identical FIFO (when, seq) sequence dispatch_one()
-  // would, so digests cannot move. Actions may mutate the queue freely;
-  // a same-timestamp event scheduled mid-batch binary-inserts into its
-  // FIFO position in the open drain and is picked up by the tail checks,
-  // and a reset() empties the drain, ending the batch.
-  ensure_drain();
-  if (drain_.empty() || drain_.back().when > until) return 0;
-  std::size_t dispatched = 0;
-  const Time when = drain_.back().when;
-  do {
-    Node* node = drain_.back().node;
-    drain_.pop_back();
-    --pending_count_;
-    fire_node(node);
-    ++dispatched;
-    while (!drain_.empty() && drain_.back().node->cancelled) {
-      Node* dead = drain_.back().node;
-      drain_.pop_back();
-      reclaim_cancelled(dead);
-    }
-  } while (!drain_.empty() && drain_.back().when == when);
-  return dispatched;
-}
-
-std::size_t EventQueue::run_until(Time until) {
-  std::size_t dispatched = 0;
+Time EventQueue::dispatch_through(Time until, std::size_t& dispatched) {
   for (;;) {
     if (perturb_.enabled()) {
       // The perturbed path owns its own batch machinery; keep the
       // per-event probe so an armed perturbation is honoured exactly.
-      if (next_time() > until) break;
-      if (!dispatch_one()) break;
+      const Time next = next_time();
+      if (empty() || next > until) return next;
+      dispatch_one();
       ++dispatched;
       continue;
     }
-    const std::size_t batch = dispatch_batch(until);
-    if (batch == 0) break;
-    dispatched += batch;
+    // Batched same-timestamp dispatch: the drain is sorted, so every
+    // event tied at the earliest timestamp sits contiguously at its tail.
+    // Service the whole tie group in one pass — the way the schedule
+    // auditor's collect_batch() gathers ties — without re-probing the
+    // calendar (ensure_drain) between events. The pops walk the same
+    // (when, seq) sequence dispatch_one() would. Actions may mutate the
+    // queue freely: a same-timestamp event scheduled mid-group
+    // binary-inserts into its FIFO position in the open drain and is
+    // picked up by the tail checks, and a reset() empties the drain,
+    // ending the group.
+    ensure_drain();
+    if (drain_.empty()) return Time::infinity();
+    const Time when = drain_.back().when;
+    if (when > until) return when;
+    do {
+      Node* node = drain_.back().node;
+      drain_.pop_back();
+      --pending_count_;
+      fire_node(node);
+      ++dispatched;
+      while (!drain_.empty() && drain_.back().node->cancelled) {
+        Node* dead = drain_.back().node;
+        drain_.pop_back();
+        reclaim_cancelled(dead);
+      }
+    } while (!drain_.empty() && drain_.back().when == when);
   }
+}
+
+std::size_t EventQueue::run_until(Time until) {
+  std::size_t dispatched = 0;
+  dispatch_through(until, dispatched);
   if (now_ < until && !until.is_infinite()) now_ = until;
   return dispatched;
 }
 
+Time EventQueue::run_tick(Time tick) {
+  std::size_t dispatched = 0;
+  const Time next = dispatch_through(tick, dispatched);
+  if (now_ < tick && !tick.is_infinite()) now_ = tick;
+  return next;
+}
+
 std::size_t EventQueue::run() {
   std::size_t dispatched = 0;
-  for (;;) {
-    if (perturb_.enabled()) {
-      if (!dispatch_one()) break;
-      ++dispatched;
-      continue;
-    }
-    const std::size_t batch = dispatch_batch(Time::infinity());
-    if (batch == 0) break;
-    dispatched += batch;
-  }
+  dispatch_through(Time::infinity(), dispatched);
   return dispatched;
 }
 // dredbox-lint: hot-path-end

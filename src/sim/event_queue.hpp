@@ -179,6 +179,12 @@ class EventQueue {
   /// events dispatched.
   std::size_t run_until(Time until);
 
+  /// Runs every event at or before `tick` and none after it, parks now()
+  /// at `tick`, and returns the new next_time(): exactly run_until(tick)
+  /// followed by next_time(), perturbation included, in one pass over the
+  /// drain. The multi-rack scheduler's per-tick step (core::Cluster).
+  Time run_tick(Time tick);
+
   /// Runs all events to quiescence. Returns the number dispatched.
   std::size_t run();
 
@@ -298,12 +304,11 @@ class EventQueue {
   /// or even reset the queue.
   void fire_node(Node* node);
 
-  /// Dispatches every event tied at the earliest pending timestamp (when
-  /// it is <= `until`) in one pass over the sorted drain tail, without
-  /// re-probing the calendar between events — the run loops' batched
-  /// fast path (unperturbed only). Returns the number dispatched; 0 means
-  /// the queue is empty or the next event is after `until`.
-  std::size_t dispatch_batch(Time until);
+  /// The run loops' shared body: dispatches every event at or before
+  /// `until`, adding the count to `dispatched`, and returns next_time().
+  /// Unperturbed, each tie group is dispatched in one pass over the sorted
+  /// drain tail, without re-probing the calendar between its events.
+  Time dispatch_through(Time until, std::size_t& dispatched);
 
   // --- perturbation machinery (inert while perturb_.mode == kNone) ---
 

@@ -103,6 +103,107 @@ TEST(EventQueueTest, RunUntilAdvancesTimeWhenIdle) {
   EXPECT_EQ(q.now(), Time::ms(5));
 }
 
+TEST(EventQueueTest, RunTickRunsOnlyTheTickAndReturnsTheNextHead) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(Time::ns(10), [&] {
+    order.push_back(1);
+    // Scheduled at the running tick: still runs inside this step.
+    q.schedule(Time::ns(10), [&] { order.push_back(3); });
+  });
+  q.schedule(Time::ns(10), [&] { order.push_back(2); });
+  q.schedule(Time::ns(20), [&] { order.push_back(4); });
+  const Time next = q.run_tick(Time::ns(10));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.pending(), 1u) << "the later event must stay pending";
+  EXPECT_EQ(q.now(), Time::ns(10));
+  EXPECT_EQ(next, Time::ns(20));
+  EXPECT_EQ(next, q.next_time());
+  EXPECT_EQ(q.run_tick(Time::ns(20)), Time::infinity());
+  EXPECT_EQ(q.next_time(), Time::infinity());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueueTest, RunTickParksAnIdleClockAtTheTick) {
+  EventQueue q;
+  q.schedule(Time::ns(50), [] {});
+  EXPECT_EQ(q.run_tick(Time::ns(30)), Time::ns(50));
+  EXPECT_EQ(q.now(), Time::ns(30));
+  EXPECT_EQ(q.pending(), 1u);
+}
+
+/// What one queue's events record while it runs the cancel script.
+struct CancelScript {
+  std::vector<int> log;
+  EventId victim;
+};
+
+/// Schedules, on `q`, two tie groups with cancellations: a cancelled head
+/// at 10 ns, a 10 ns event that cancels its 10 ns successor, and a cancelled
+/// event ahead of a live one at 20 ns. Each fired event logs its id.
+void schedule_cancel_script(EventQueue& q, CancelScript& script) {
+  std::vector<int>& log = script.log;
+  q.cancel(q.schedule(Time::ns(10), [&log] { log.push_back(0); }));
+  q.schedule(Time::ns(10), [&q, &script] {
+    script.log.push_back(1);
+    q.cancel(script.victim);
+  });
+  script.victim = q.schedule(Time::ns(10), [&log] { log.push_back(2); });
+  q.schedule(Time::ns(10), [&log] { log.push_back(3); });
+  q.cancel(q.schedule(Time::ns(20), [&log] { log.push_back(4); }));
+  q.schedule(Time::ns(20), [&log] { log.push_back(5); });
+  q.schedule(Time::ns(30), [&log] { log.push_back(6); });
+}
+
+TEST(EventQueueTest, RunTickSkipsCancelledEventsExactlyAsRunUntil) {
+  EventQueue stepped;
+  EventQueue reference;
+  CancelScript stepped_run;
+  CancelScript reference_run;
+  schedule_cancel_script(stepped, stepped_run);
+  schedule_cancel_script(reference, reference_run);
+  const std::vector<int>& stepped_log = stepped_run.log;
+  const std::vector<int>& reference_log = reference_run.log;
+  for (const Time tick : {Time::ns(10), Time::ns(20)}) {
+    const Time next = stepped.run_tick(tick);
+    reference.run_until(tick);
+    EXPECT_EQ(next, reference.next_time()) << tick.to_string();
+    EXPECT_EQ(next, stepped.next_time()) << tick.to_string();
+    EXPECT_EQ(stepped.now(), reference.now()) << tick.to_string();
+    EXPECT_EQ(stepped.pending(), reference.pending()) << tick.to_string();
+    EXPECT_EQ(stepped_log, reference_log) << tick.to_string();
+  }
+  EXPECT_EQ(stepped_log, (std::vector<int>{1, 3, 5}));
+  stepped.check_invariants();
+}
+
+TEST(EventQueueTest, RunTickUnderReversePerturbationMatchesRunUntilThenNextTime) {
+  SchedulePerturbation reverse;
+  reverse.mode = SchedulePerturbation::Mode::kReverse;
+  EventQueue stepped;
+  EventQueue reference;
+  stepped.set_perturbation(reverse);
+  reference.set_perturbation(reverse);
+  CancelScript stepped_run;
+  CancelScript reference_run;
+  schedule_cancel_script(stepped, stepped_run);
+  schedule_cancel_script(reference, reference_run);
+  const std::vector<int>& stepped_log = stepped_run.log;
+  const std::vector<int>& reference_log = reference_run.log;
+  for (const Time tick : {Time::ns(10), Time::ns(15), Time::ns(20), Time::ns(30)}) {
+    const Time next = stepped.run_tick(tick);
+    reference.run_until(tick);
+    EXPECT_EQ(next, reference.next_time()) << tick.to_string();
+    EXPECT_EQ(stepped.now(), reference.now()) << tick.to_string();
+    EXPECT_EQ(stepped_log, reference_log) << tick.to_string();
+  }
+  EXPECT_EQ(stepped.batches_collected(), reference.batches_collected());
+  EXPECT_GT(stepped.batches_collected(), 0u) << "the script must form a reorderable batch";
+  // Reversed, the 10 ns batch runs 3 first, then 2 (whose canceller,
+  // 1, has not run yet), then 1.
+  EXPECT_EQ(stepped_log, (std::vector<int>{3, 2, 1, 5, 6}));
+}
+
 TEST(EventQueueTest, NextTimeSkipsCancelled) {
   EventQueue q;
   const EventId early = q.schedule(Time::ns(10), [] {});
